@@ -7,9 +7,10 @@ Schur evaluators side by side), ``duality`` (rectangular Schur identities),
 ``report`` (full side-by-side record for one instance).
 
 All rationals in output are strings ``p`` or ``p/q`` in lowest terms; there
-is no floating point anywhere.  Output for a fixed seed is byte-identical
-regardless of worker count: cells are evaluated by pure functions keyed on
-(seed, cell coordinates) and merged in sorted cell order.
+is no floating point anywhere.  ``verify`` and ``sweep`` evaluate cells in
+order in one thread, each by a pure function keyed on (seed, cell
+coordinates), so output for a fixed seed is byte-identical from run to run.
+``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
 determinant and the expansion or closed form, 2 usage error.  Literal-case
@@ -23,22 +24,18 @@ import csv
 import hashlib
 import io
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .formulas import (
     SplitForms,
     complement_identity_check,
     det_closed_form,
-    det_literal_cases,
     det_schur_expansion,
     discrepancy_report,
     duality_check,
 )
-from .mpoly import MultiPoly, render
 from .partitions import Partition
 from .ring import LinearForm, RingParams, det_direct, slp_check
 from .symfunc import schur_bialternant, schur_jacobi_trudi, schur_tableaux
@@ -51,7 +48,7 @@ EXIT_USAGE = 2
 
 
 # ---------------------------------------------------------------------------
-# parsing and rendering
+# parsing and formatting
 
 
 def parse_rational(text: str) -> Fraction:
@@ -83,14 +80,21 @@ def parse_forms(text: str) -> list[LinearForm]:
     return forms
 
 
-def fmt(value, names: list[str] | None = None) -> str:
-    if isinstance(value, MultiPoly):
-        return render(value, names)
+def fmt(value) -> str:
     return str(Fraction(value))
 
 
 def form_doc(form: LinearForm) -> list[str]:
     return [fmt(form.a), fmt(form.b)]
+
+
+def term_doc(term) -> dict:
+    return {
+        "delta": list(term.delta),
+        "lam": str(term.lam),
+        "nu": str(term.nu),
+        "value": fmt(term.value),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -143,50 +147,38 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
     for t in range(trials):
         rng = cell_rng(seed, d, q, k, u, t)
         forms = [random_form(rng, allow_zero) for _ in range(n)]
-        sf = SplitForms.split(forms, u)
-        direct = det_direct(rp, k, forms)
-        expansion = det_schur_expansion(rp, k, sf).value
-        closed = det_closed_form(rp, k, forms)
-        match = direct == expansion and direct == closed
-        try:
+        record = discrepancy_report(rp, k, SplitForms.split(forms, u))
+        # the report carries the closed form only for the trivial split
+        closed = record["det_closed_form"]
+        if closed is None:
+            closed = det_closed_form(rp, k, forms)
+        if record["literal_case_error"] is None:
             audit = [
                 {
-                    "case": c.case_id,
-                    "value": fmt(c.value),
-                    "matches_direct": c.value == direct,
+                    "case": c["case"],
+                    "value": fmt(c["value"]),
+                    "matches_direct": c["matches_direct"],
                 }
-                for c in det_literal_cases(rp, k, sf)
+                for c in record["literal_case_audit"]
             ]
-        except ValueError:
+        else:
             audit = "undefined"
         rows.append(
             {
                 "trial": t,
                 "forms": [form_doc(f) for f in forms],
-                "det_direct": fmt(direct),
-                "det_expansion": fmt(expansion),
+                "det_direct": fmt(record["det_direct"]),
+                "det_expansion": fmt(record["det_expansion"]),
                 "det_closed": fmt(closed),
-                "match": match,
+                "match": record["matches"]["expansion"] and closed == record["det_direct"],
                 "literal_case_audit": audit,
             }
         )
     return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
 
 
-def run_lattice(cells, seed: int, trials: int, allow_zero: bool, threads: int) -> list[dict]:
-    if threads <= 1:
-        return [eval_cell(seed, cell, trials, allow_zero) for cell in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(
-            pool.map(lambda cell: eval_cell(seed, cell, trials, allow_zero), cells)
-        )
-
-
-def default_threads() -> int:
-    env = os.environ.get("LEFDET_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def run_lattice(cells, seed: int, trials: int, allow_zero: bool) -> list[dict]:
+    return [eval_cell(seed, cell, trials, allow_zero) for cell in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +212,14 @@ def cmd_det(args) -> tuple[dict, int]:
         expansion = det_schur_expansion(rp, args.k, SplitForms.split(forms, u))
         value = expansion.value
         doc["det"] = fmt(value)
-        doc["terms"] = [
-            {
-                "delta": list(term.delta),
-                "lam": str(term.lam),
-                "nu": str(term.nu),
-                "value": fmt(term.value),
-            }
-            for term in expansion.terms
-        ]
+        doc["terms"] = [term_doc(term) for term in expansion.terms]
     doc["match_direct"] = value == direct
     return doc, EXIT_OK if value == direct else EXIT_MISMATCH
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.d is not None:
         if args.q is None:
             raise ValueError("--q is required with --d")
@@ -250,12 +236,14 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
                     raise ValueError(f"split {u} outside 0..{n}")
                 cells.append((args.d, args.q, k, u))
         return cells
+    if args.dmax < 2:
+        raise ValueError(f"--dmax {args.dmax} gives no cells; need --dmax >= 2")
     return lattice_cells(args.dmax)
 
 
 def cmd_verify(args) -> tuple[dict, int]:
     cells = _sweep_cells(args)
-    results = run_lattice(cells, args.seed, args.trials, args.allow_zero, args.threads)
+    results = run_lattice(cells, args.seed, args.trials, args.allow_zero)
     mismatches = sum(
         1 for cell in results for row in cell["trials"] if not row["match"]
     )
@@ -289,7 +277,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_sweep(args) -> tuple[dict, int]:
     cells = _sweep_cells(args)
-    results = run_lattice(cells, args.seed, args.trials, args.allow_zero, args.threads)
+    results = run_lattice(cells, args.seed, args.trials, args.allow_zero)
     rows = []
     for cell in results:
         for row in cell["trials"]:
@@ -416,27 +404,12 @@ def cmd_report(args) -> tuple[dict, int]:
         },
         "det_direct": fmt(record["det_direct"]),
         "det_expansion": fmt(record["det_expansion"]),
-        "expansion_terms": [
-            {
-                "delta": list(t.delta),
-                "lam": str(t.lam),
-                "nu": str(t.nu),
-                "value": fmt(t.value),
-            }
-            for t in record["expansion_terms"]
-        ],
+        "expansion_terms": [term_doc(t) for t in record["expansion_terms"]],
         "det_closed_form": None
         if record["det_closed_form"] is None
         else fmt(record["det_closed_form"]),
         "literal_case_audit": [
-            {
-                "case": c["case"],
-                "condition": c["condition"],
-                "value": fmt(c["value"]),
-                "skipped_terms": c["skipped_terms"],
-                "matches_direct": c["matches_direct"],
-            }
-            for c in record["literal_case_audit"]
+            {**c, "value": fmt(c["value"])} for c in record["literal_case_audit"]
         ],
         "literal_case_error": record["literal_case_error"],
         "matches": record["matches"],
@@ -516,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--allow-zero", action="store_true", dest="allow_zero",
                        help="allow zero coordinates in random forms")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted for compatibility and ignored")
         add_output(p)
 
     p = sub.add_parser("slp", help="strong Lefschetz scan for one form")
@@ -566,8 +540,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "threads") and args.threads is None:
-        args.threads = default_threads()
     try:
         doc, code = COMMANDS[args.command](args)
         emit(doc, args.output)

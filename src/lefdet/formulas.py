@@ -190,36 +190,30 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
         )
         cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value, 0))
 
-    if k + u <= q:
-        value = 0
-        for lam in enumerate_in_rectangle(u, k + 1):
-            mu = lam.complement(d, k + 1)
-            value = value + schur_homog(lam, check_pair, rows=k + 1) * schur_homog(
-                mu, hat_pair, rows=k + 1
-            )
-        cases.append(LiteralCase(2, "0 <= k <= k+u <= q", value, 0))
-
-    if k <= q and d <= k + u:
-        value = 0
-        skipped = 0
-        for lam in enumerate_in_rectangle(u, k + 1):
+    def box_sum(width, first_pair, second_pair):
+        # sum of s_lam(first) * s_mu(second) over lam in the width x (k+1) box,
+        # mu its complement in the d x (k+1) box; a lam wider than d is skipped
+        value, skipped = 0, 0
+        for lam in enumerate_in_rectangle(width, k + 1):
             if lam.part(0) > d:
                 skipped += 1
                 continue
             mu = lam.complement(d, k + 1)
-            value = value + schur_homog(mu, check_pair, rows=k + 1) * schur_homog(
-                lam, hat_pair, rows=k + 1
+            value = value + schur_homog(lam, first_pair, rows=k + 1) * schur_homog(
+                mu, second_pair, rows=k + 1
             )
-        cases.append(LiteralCase(3, "0 <= k <= q <= d <= k+u", value, skipped))
+        return value, skipped
+
+    if k + u <= q:
+        cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_pair, hat_pair)))
+
+    if k <= q and d <= k + u:
+        cases.append(
+            LiteralCase(3, "0 <= k <= q <= d <= k+u", *box_sum(u, hat_pair, check_pair))
+        )
 
     if k <= q <= k + u <= d:
-        value = 0
-        for lam in enumerate_in_rectangle(q - k, k + 1):
-            mu = lam.complement(d, k + 1)
-            value = value + schur_homog(lam, check_pair, rows=k + 1) * schur_homog(
-                mu, hat_pair, rows=k + 1
-            )
-        cases.append(LiteralCase(4, "k <= q <= k+u <= d", value, 0))
+        cases.append(LiteralCase(4, "k <= q <= k+u <= d", *box_sum(q - k, check_pair, hat_pair)))
 
     return cases
 

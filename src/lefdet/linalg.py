@@ -2,7 +2,7 @@
 
 Two determinant routes are kept deliberately independent: fraction-free
 Bareiss elimination (rational entries; every intermediate division is
-asserted exact) and memoized Laplace expansion (any exact coefficient ring,
+checked exact) and memoized Laplace expansion (any exact coefficient ring,
 and the small-size cross-check for Bareiss).  ``det`` picks Bareiss when all
 entries are rational and Laplace otherwise.
 """
@@ -99,7 +99,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
 
     Denominators are cleared row by row, the integer Bareiss recurrence runs
     with first-nonzero pivoting and sign tracking, and every interior
-    division is asserted remainder-free.
+    division is checked remainder-free (``ArithmeticError`` otherwise).
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -129,7 +129,8 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
             lead = cur[col]
             for c in range(col + 1, n):
                 quot, rem = divmod(cur[c] * pivot - lead * top[c], prev)
-                assert rem == 0, "Bareiss interior division must be exact"
+                if rem:
+                    raise ArithmeticError("Bareiss interior division must be exact")
                 cur[c] = quot
             cur[col] = 0
         prev = pivot

@@ -16,8 +16,10 @@ ordered product of the single-form matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .linalg import ExactMatrix, det
+from .mpoly import MultiPoly
 from .symfunc import HomogPair, _homog_table
 
 
@@ -56,6 +58,12 @@ class LinearForm:
     b: object
 
     def __post_init__(self):
+        for coeff in (self.a, self.b):
+            if not isinstance(coeff, (int, Fraction, MultiPoly)):
+                raise ValueError(
+                    f"form coefficient {coeff!r} is not exact: "
+                    "need int, Fraction or MultiPoly"
+                )
         if self.a == 0 and self.b == 0:
             raise ValueError("linear form must be nonzero")
 

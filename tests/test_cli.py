@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -278,3 +279,67 @@ def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
     )
     assert code == 1
     assert doc["summary"]["mismatches"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dmax", "1"],
+        ["verify", "--dmax", "-3"],
+        ["verify", "--trials", "0"],
+        ["sweep", "--trials", "-2"],
+        ["sweep", "--dmax", "1", "--output", "csv"],
+        ["verify", "--d", "2", "--q", "2", "--k", "1", "--trials", "0"],
+    ],
+)
+def test_vacuous_sweeps_are_usage_errors(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and "error" in doc
+
+
+def test_threads_flag_is_accepted_and_ignored(capsys, monkeypatch):
+    args = ["sweep", "--dmax", "3", "--trials", "1", "--seed", "4"]
+    _, plain = run(capsys, *args)
+    monkeypatch.setenv("LEFDET_THREADS", "abc")
+    for extra in ([], ["--threads", "3"]):
+        code, out = run(capsys, *args, *extra)
+        assert code == 0 and out == plain
+
+
+# --- pinned output bytes -----------------------------------------------------
+
+# sha256 of stdout and the exit code.  These bytes are the wire format: a
+# refactor must leave them unchanged, and a deliberate format change must
+# update them here.
+GOLDEN = [
+    (
+        ["verify", "--dmax", "5", "--trials", "3", "--seed", "11"],
+        0, "a8112c7ef2cf814455bae14d55620e546e97329d653053fe72912b238c8d9c0e",
+    ),
+    (
+        ["verify", "--dmax", "4", "--trials", "2", "--allow-zero"],
+        0, "1b568fa8c061935e34d4863e1f7196d34aef407aeee8f5629e9391755733269e",
+    ),
+    (
+        ["sweep", "--dmax", "4", "--trials", "2", "--seed", "9", "--output", "csv"],
+        0, "34ca7c7d5ac0506921dd85ebab65487e8fd6b4706c84f2615340b28a9a944491",
+    ),
+    (
+        ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1", "--forms", "2,1;1,3"],
+        0, "aba9598fff7ece709817afc3c0a01d911e60f8dd490d9dda740f49eb0098eba1",
+    ),
+    (
+        ["det", "--d", "4", "--q", "4", "--k", "1", "--u", "3", "--method", "expansion",
+         "--forms", "2,1;1,3;-1,2;3,-5;1/2,7;4,-1/3"],
+        0, "52f30e6f2e2984f5f6f2aeeff799ab45afbccfa995ee2f91801820475e562e93",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", GOLDEN,
+    ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion"],
+)
+def test_output_bytes_are_pinned(capsys, argv, code, digest):
+    got_code, out = run(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

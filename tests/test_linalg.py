@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,23 @@ def test_cauchy_binet_random_polynomials():
         Y = ExactMatrix(p, m, [rng.choice(gens) * rng.randint(-2, 2) for _ in range(p * m)])
         X = ExactMatrix(m, p, [rng.choice(gens) * rng.randint(-2, 2) for _ in range(m * p)])
         assert cauchy_binet_check(Y, X).equal
+
+
+def test_bareiss_inexact_division_raises_even_under_optimize():
+    # a corrupted divmod makes every interior division look inexact; the
+    # check must not vanish with the asserts under ``python -O``
+    import lefdet
+
+    script = (
+        "import lefdet.linalg as la\n"
+        "la.divmod = lambda a, b: (a // b, 1)\n"
+        "try:\n"
+        "    print(la.det_bareiss(la.ExactMatrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('ArithmeticError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lefdet.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.startswith("ArithmeticError: Bareiss interior division must be exact")

@@ -70,6 +70,14 @@ def test_linear_form_must_be_nonzero():
     LinearForm(Fraction(0), Fraction(1))
 
 
+def test_linear_form_rejects_inexact_coefficients():
+    for a, b in ((0.5, 1), (1, 3.0), ("1", 2), (None, 1)):
+        with pytest.raises(ValueError, match="not exact"):
+            LinearForm(a, b)
+    x = MultiPoly.variable(2, 0)
+    assert LinearForm(x, Fraction(1, 2)).a == x
+
+
 # --- bases and dimensions ----------------------------------------------------
 
 
