@@ -7,23 +7,65 @@ contract, so generic code (determinants, symmetric-function tables, the
 formula engine) runs unchanged over either ring; feeding symbolic
 coefficients turns every numeric check into a polynomial-identity check.
 
-Exponent vectors are dense per term: each key is a tuple of nonnegative
-integers of the declared arity.  Zero coefficients are never stored.
+Terms are stored packed (Monagan and Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): each key is
+one ``int`` holding the exponent vector in ``FIELD``-bit fields, variable 0
+in the most significant field, so a monomial product is one ``int`` addition
+and key order is the lexicographic order of the exponent tuples.  Every
+polynomial carries an upper bound on its exponents; a product whose bound
+would exceed ``MAX_EXPONENT`` raises ``OverflowError`` instead of carrying
+into the neighbouring field.  A coefficient is an ``int`` when it is integral
+and a ``Fraction`` otherwise, and zero coefficients are never stored.  The
+``terms`` property is a read-only ``{exponent tuple: Fraction}`` view.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+
+FIELD = 32
+MAX_EXPONENT = (1 << FIELD) - 1
+
+
+def _settle(c):
+    """``c`` as an ``int`` when it is integral, else unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _pack(expo) -> int:
+    key = 0
+    for e in expo:
+        key = key << FIELD | e
+    return key
+
+
+def _unpack(key: int, arity: int) -> tuple[int, ...]:
+    return tuple(
+        key >> (FIELD * (arity - 1 - i)) & MAX_EXPONENT for i in range(arity)
+    )
+
+
+def _poly(arity: int, terms: dict, top: int) -> "MultiPoly":
+    """A MultiPoly around an already packed, zero-free, settled term dict."""
+    out = object.__new__(MultiPoly)
+    out.arity = arity
+    out._terms = terms
+    out._top = top if terms else 0
+    return out
 
 
 class MultiPoly:
-    __slots__ = ("arity", "terms")
+    # _terms: packed exponent key -> int or Fraction coefficient
+    # _top: upper bound on every exponent of every term
+    __slots__ = ("arity", "_terms", "_top")
 
     def __init__(self, arity: int, terms=None):
         arity = int(arity)
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, object] = {}
+        top = 0
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for expo, coeff in items:
@@ -34,28 +76,41 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in expo):
                     raise ValueError(f"negative exponent in {expo}")
-                c = clean.get(expo, Fraction(0)) + Fraction(coeff)
+                if any(e > MAX_EXPONENT for e in expo):
+                    raise OverflowError(
+                        f"exponent in {expo} exceeds {MAX_EXPONENT}, "
+                        f"the largest a {FIELD}-bit field holds"
+                    )
+                key = _pack(expo)
+                c = clean.get(key, 0) + Fraction(coeff)
                 if c:
-                    clean[expo] = c
-                elif expo in clean:
-                    del clean[expo]
+                    clean[key] = c
+                    top = max(top, max(expo, default=0))
+                elif key in clean:
+                    del clean[key]
         self.arity = arity
-        self.terms = clean
+        self._terms = {key: _settle(c) for key, c in clean.items()}
+        self._top = top if clean else 0
 
     @classmethod
     def constant(cls, arity: int, value) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: Fraction(value)})
+        return cls(arity, {(0,) * arity: value})
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MultiPoly":
         if not 0 <= index < arity:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
         expo = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {expo: Fraction(1)})
+        return cls(arity, {expo: 1})
 
     @classmethod
     def variables(cls, arity: int) -> list["MultiPoly"]:
         return [cls.variable(arity, i) for i in range(arity)]
+
+    @property
+    def terms(self) -> "TermView":
+        """The terms as a read-only ``{exponent tuple: Fraction}`` mapping."""
+        return TermView(self)
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
@@ -69,26 +124,26 @@ class MultiPoly:
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and other == 0:
+            return self  # generic sums start from the int 0
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            c = terms.get(expo, Fraction(0)) + coeff
+        terms = dict(self._terms)
+        for key, coeff in other._terms.items():
+            c = terms.get(key, 0) + coeff
             if c:
-                terms[expo] = c
-            elif expo in terms:
-                del terms[expo]
-        out = MultiPoly(self.arity)
-        out.terms = terms
-        return out
+                terms[key] = _settle(c)
+            else:
+                del terms[key]
+        return _poly(self.arity, terms, max(self._top, other._top))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.arity)
-        out.terms = {expo: -coeff for expo, coeff in self.terms.items()}
-        return out
+        return _poly(
+            self.arity, {key: -c for key, c in self._terms.items()}, self._top
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -103,21 +158,35 @@ class MultiPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a scalar scales the coefficients; no monomial work
+            if other == 1:
+                return self
+            if other == 0:
+                return _poly(self.arity, {}, 0)
+            return _poly(
+                self.arity,
+                {key: _settle(c * other) for key, c in self._terms.items()},
+                self._top,
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(expo, Fraction(0)) + c1 * c2
-                if c:
-                    terms[expo] = c
-                elif expo in terms:
-                    del terms[expo]
-        out = MultiPoly(self.arity)
-        out.terms = terms
-        return out
+        top = self._top + other._top
+        if top > MAX_EXPONENT:
+            raise OverflowError(
+                f"product exponents may reach {top}, beyond {MAX_EXPONENT}, "
+                f"the largest a {FIELD}-bit field holds"
+            )
+        terms: dict[int, object] = {}
+        get = terms.get
+        right = list(other._terms.items())
+        for k1, c1 in self._terms.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                terms[key] = get(key, 0) + c1 * c2
+        terms = {key: _settle(c) for key, c in terms.items() if c}
+        return _poly(self.arity, terms, top)
 
     __rmul__ = __mul__
 
@@ -131,18 +200,21 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
-            return self.arity == other.arity and self.terms == other.terms
+            return self.arity == other.arity and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            if not self.terms:
+            if not self._terms:
                 return other == 0
-            return self.terms == {(0,) * self.arity: Fraction(other)}
+            return self._terms == {0: other}
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        if self._terms.keys() <= {0}:
+            # a constant hashes like the scalar it equals
+            return hash(self._terms.get(0, 0))
+        return hash((self.arity, frozenset(self._terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def eval(self, point) -> Fraction:
         """Substitute a rational value for every variable."""
@@ -152,9 +224,9 @@ class MultiPoly:
                 f"point of length {len(point)} does not match arity {self.arity}"
             )
         total = Fraction(0)
-        for expo, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             value = coeff
-            for v, e in zip(point, expo):
+            for v, e in zip(point, _unpack(key, self.arity)):
                 value *= v**e
             total += value
         return total
@@ -166,20 +238,50 @@ class MultiPoly:
         return f"MultiPoly({self.arity}, {self})"
 
 
+class TermView(Mapping):
+    """Read-only ``{exponent tuple: Fraction}`` view of a MultiPoly's terms.
+
+    Keys are unpacked on demand, so ``len`` costs nothing and a lookup packs
+    one tuple.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: MultiPoly):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        arity = self._poly.arity
+        return (_unpack(key, arity) for key in self._poly._terms)
+
+    def __getitem__(self, expo):
+        if len(expo) != self._poly.arity or not all(
+            0 <= e <= MAX_EXPONENT for e in expo
+        ):
+            raise KeyError(expo)
+        return Fraction(self._poly._terms[_pack(expo)])
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 def render(p: MultiPoly, names: list[str] | None = None) -> str:
     """Debug text such as ``2*a1^2*b1 - 1/3``; term order is fixed."""
     if names is None:
         names = [f"x{i}" for i in range(p.arity)]
     if len(names) != p.arity:
         raise ValueError("one name per variable is required")
-    if not p.terms:
+    if not p._terms:
         return "0"
     pieces = []
-    for expo in sorted(p.terms, reverse=True):
-        coeff = p.terms[expo]
+    for key in sorted(p._terms, reverse=True):
+        coeff = p._terms[key]
         factors = [
             names[i] if e == 1 else f"{names[i]}^{e}"
-            for i, e in enumerate(expo)
+            for i, e in enumerate(_unpack(key, p.arity))
             if e
         ]
         mag = abs(coeff)

@@ -38,16 +38,30 @@ class RingParams:
     def socle(self) -> int:
         return self.d + self.q
 
-    def swapped(self) -> "RingParams":
-        """The (q, d) twin, skipping the d >= q normalization check.
+    def swapped(self) -> "SwappedParams":
+        """The (q, d) twin, which is not normalized to d >= q."""
+        return SwappedParams(self.q, self.d)
 
-        Used only to evaluate the transposed determinant identity; all basis
-        and matrix computations below are valid for any d, q >= 1.
-        """
-        rp = object.__new__(RingParams)
-        object.__setattr__(rp, "d", self.q)
-        object.__setattr__(rp, "q", self.d)
-        return rp
+
+@dataclass(frozen=True)
+class SwappedParams:
+    """Exponent parameters d, q >= 1 in either order; the socle degree is d + q.
+
+    The transposed determinant identity evaluates a ring with its exponents
+    exchanged; every basis and matrix computation below is valid for any
+    d, q >= 1, so this twin of ``RingParams`` skips only the d >= q check.
+    """
+
+    d: int
+    q: int
+
+    def __post_init__(self):
+        if not (self.d >= 1 and self.q >= 1):
+            raise ValueError(f"need d, q >= 1, got d={self.d}, q={self.q}")
+
+    @property
+    def socle(self) -> int:
+        return self.d + self.q
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,31 @@ def test_criterion_3_symbolic_polynomial_identity():
     report(3, f"expansion == direct as polynomials on {cells} cells (d+q <= 6) in {elapsed:.1f}s")
 
 
+def test_symbolic_polynomial_identity_at_socle_7_and_8():
+    # criterion 3 stops at d+q <= 6; this extends the proof to the cells of
+    # the symbolic benchmark lattice, the closed form included
+    t0 = time.time()
+    cells = 0
+    for s in (7, 8):
+        for q in range(1, s // 2 + 1):
+            d = s - q
+            rp = RingParams(d, q)
+            for k in range(s // 2 + 1):
+                n = s - 2 * k
+                forms, _ = symbolic_forms(n)
+                direct = det_direct(rp, k, forms)
+                assert det_closed_form(rp, k, forms) == direct, (d, q, k)
+                for u in range(n + 1):
+                    got = det_schur_expansion(rp, k, SplitForms.split(forms, u)).value
+                    assert got == direct, (d, q, k, u)
+                    cells += 1
+    assert cells == 160
+    print(
+        f"ACCEPTANCE 3+: PASS  expansion == closed == direct as polynomials on {cells} cells "
+        f"(d+q in {{7, 8}}) in {time.time() - t0:.1f}s"
+    )
+
+
 def test_criterion_4_schur_evaluator_triple_agreement():
     shapes = [p for p in enumerate_in_rectangle(8, 8) if p.weight <= 8]
     assert len(shapes) == 67  # partitions of 0..8

@@ -1,9 +1,17 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lefdet.mpoly import MultiPoly, render
+from lefdet.formulas import SplitForms, det_closed_form, det_schur_expansion, symbolic_forms
+from lefdet.mpoly import FIELD, MAX_EXPONENT, MultiPoly, render
+from lefdet.ring import RingParams, det_direct
 
 
 def P(arity, terms):
@@ -108,3 +116,135 @@ def test_ring_axioms(p, q, r):
 def test_eval_is_a_ring_homomorphism(p, q, pt):
     assert (p + q).eval(pt) == p.eval(pt) + q.eval(pt)
     assert (p * q).eval(pt) == p.eval(pt) * q.eval(pt)
+
+
+def naive_product(p, q):
+    """Oracle: the product over tuple-keyed term dicts, exponents added per entry."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            expo = tuple(a + b for a, b in zip(e1, e2))
+            out[expo] = out.get(expo, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(polys(arity=4, max_terms=10), polys(arity=4, max_terms=10))
+def test_packed_product_matches_tuple_product(p, q):
+    assert (p * q).terms == naive_product(p, q)
+    assert dict((p * q).terms) == naive_product(q, p)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    assert MultiPoly.constant(3, Fraction(3)) == MultiPoly.constant(3, 3)
+    assert hash(MultiPoly.constant(3, Fraction(3))) == hash(MultiPoly.constant(3, 3))
+    x, y = MultiPoly.variables(2)
+    half = Fraction(1, 2) * x
+    for p in (half + half, 2 * half, (x + Fraction(1, 3)) * 3, x * y * Fraction(4, 2)):
+        assert all(type(c) is int for c in p._terms.values()), p
+    assert [type(c) for c in half._terms.values()] == [Fraction]
+    assert all(type(c) is Fraction for c in (half + half).terms.values())
+
+
+def test_constants_hash_like_the_scalar_they_equal():
+    for value in (0, 3, Fraction(3), Fraction(-2, 7)):
+        p = MultiPoly.constant(2, value)
+        assert p == value
+        assert hash(p) == hash(value)
+    assert len({MultiPoly.constant(2, 5), 5, Fraction(5)}) == 1
+
+
+def test_arity_zero():
+    zero, three = MultiPoly(0), MultiPoly.constant(0, 3)
+    assert MultiPoly.variables(0) == []
+    assert three.terms == {(): Fraction(3)}
+    assert three * three == 9 and three + zero == three and zero == 0
+    assert (three - 3) == zero and not zero
+    assert three.eval(()) == 3
+    assert render(three) == "3" and render(zero) == "0"
+    with pytest.raises(ValueError):
+        MultiPoly.variable(0, 0)
+
+
+def test_term_view_reads_like_a_dict():
+    x, y = MultiPoly.variables(2)
+    p = 2 * x**2 * y - y + Fraction(1, 3)
+    assert len(p.terms) == 3
+    assert p.terms[(2, 1)] == 2 and p.terms.get((0, 1)) == -1
+    assert p.terms.get((5, 5)) is None and (1, 1) not in p.terms
+    assert p.terms.get((-1, 0)) is None and p.terms.get((1,)) is None
+    assert sorted(p.terms) == [(0, 0), (0, 1), (2, 1)]
+    assert p.terms == {(2, 1): 2, (0, 1): -1, (0, 0): Fraction(1, 3)}
+    assert eval(repr(p.terms)) == dict(p.terms)
+    with pytest.raises(TypeError):
+        p.terms[(0, 0)] = 1
+
+
+def test_exponents_up_to_the_field_maximum_round_trip():
+    top = MAX_EXPONENT
+    p = MultiPoly(3, {(top, 0, top): 1, (0, top, 1): -2})
+    assert p.terms == {(top, 0, top): 1, (0, top, 1): -2}
+    assert render(p) == f"x0^{top}*x2^{top} - 2*x1^{top}*x2"
+    with pytest.raises(OverflowError):
+        MultiPoly(2, {(top + 1, 0): 1})
+
+
+def test_carry_guard_raises_instead_of_carrying():
+    big = MultiPoly(1, {(2**FIELD - 1,): 1})
+    x = MultiPoly.variable(1, 0)
+    with pytest.raises(OverflowError):
+        big * x
+    with pytest.raises(OverflowError):
+        x * big
+    # a carry out of the low field would turn y^(2^FIELD) into x
+    low = MultiPoly(2, {(0, 2**FIELD - 1): 1})
+    with pytest.raises(OverflowError):
+        low * MultiPoly.variable(2, 1)
+    assert (big * 1) == big and big * 0 == 0 and big * MultiPoly(1) == 0
+
+
+def test_carry_guard_survives_optimize():
+    import lefdet
+
+    script = (
+        "from lefdet.mpoly import FIELD, MultiPoly\n"
+        "big = MultiPoly(1, {(2**FIELD - 1,): 1})\n"
+        "try:\n"
+        "    print(big * MultiPoly.variable(1, 0))\n"
+        "except OverflowError as exc:\n"
+        "    print('OverflowError:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lefdet.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.startswith("OverflowError:")
+
+
+def term_digest(p):
+    text = json.dumps(sorted((list(e), str(c)) for e, c in p.terms.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each cell's sorted term list, pinned from the tuple-keyed kernel;
+# direct, closed form and every split's expansion share it
+SYMBOLIC_GOLDEN = {
+    (4, 3, 1): "f3a2cc50c4b610c85b3481e52f62f52fcd0cf925fbabeb3f25e953df816df50e",
+    (5, 3, 2): "4a6437056eacdd050b65ec7228671653b65e3c616033ab8eddf705a4279edfb7",
+    (4, 4, 0): "907d6d0ec63c16cd137f4b8d9be60160547333c0036b122602c12136a4311c89",
+}
+
+
+@pytest.mark.parametrize("cell", sorted(SYMBOLIC_GOLDEN))
+def test_symbolic_determinants_match_golden_digests(cell):
+    d, q, k = cell
+    rp = RingParams(d, q)
+    n = d + q - 2 * k
+    forms, _ = symbolic_forms(n)
+    values = [det_direct(rp, k, forms), det_closed_form(rp, k, forms)]
+    values += [det_schur_expansion(rp, k, SplitForms.split(forms, u)).value for u in range(n + 1)]
+    assert [term_digest(v) for v in values] == [SYMBOLIC_GOLDEN[cell]] * (n + 3)
+
+
+def test_readme_symbolic_example_renders_unchanged():
+    forms, names = symbolic_forms(2)
+    assert render(det_direct(RingParams(4, 2), 2, forms), names) == "a1^3*a2^3"

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from lefdet.linalg import ExactMatrix
+from lefdet.formulas import SplitForms, det_schur_expansion, symbolic_forms
+from lefdet.linalg import ExactMatrix, det_bareiss, det_laplace
 from lefdet.mpoly import MultiPoly
 from lefdet.ring import (
     LinearForm,
     RingParams,
+    SwappedParams,
     basis,
     det_direct,
     dim,
@@ -62,6 +65,15 @@ def test_swapped_twin_bypasses_normalization():
     swapped = RingParams(3, 1).swapped()
     assert (swapped.d, swapped.q) == (1, 3)
     assert dim(swapped, 2) == 2
+
+
+def test_swapped_twin_is_its_own_type():
+    swapped = RingParams(3, 1).swapped()
+    assert type(swapped) is SwappedParams and swapped.socle == 4
+    assert swapped == SwappedParams(1, 3) and swapped != RingParams(3, 1)
+    for d, q in ((0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            SwappedParams(d, q)
 
 
 def test_linear_form_must_be_nonzero():
@@ -275,3 +287,35 @@ def test_slp_holds_for_sum_of_variables_small():
     for d in range(1, 5):
         for q in range(1, d + 1):
             assert slp_check(RingParams(d, q), F(1, 1)).holds
+
+
+@st.composite
+def cells_and_points(draw):
+    """A cell (d, q, k, u) with d+q <= 6 and a point with nonzero rational coordinates."""
+    q = draw(st.integers(min_value=1, max_value=3))
+    d = draw(st.integers(min_value=q, max_value=6 - q))
+    k = draw(st.integers(min_value=0, max_value=(d + q) // 2))
+    n = d + q - 2 * k
+    u = draw(st.integers(min_value=0, max_value=n))
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+    point = draw(st.lists(nonzero, min_size=2 * n, max_size=2 * n))
+    return d, q, k, u, point
+
+
+@given(cells_and_points())
+def test_symbolic_evaluation_agrees_with_both_rational_determinants(case):
+    # the symbolic determinant, evaluated, against Bareiss and Laplace on the
+    # rational forms at the same point: three independent routes
+    d, q, k, u, point = case
+    rp = RingParams(d, q)
+    n = d + q - 2 * k
+    forms, _ = symbolic_forms(n)
+    rational = [LinearForm(point[i], point[n + i]) for i in range(n)]
+    block = mult_matrix_block(rp, rational, k)
+    expected = det_bareiss(block)
+    assert det_laplace(block) == expected
+    symbolic = det_direct(rp, k, forms)
+    value = symbolic.eval(point) if isinstance(symbolic, MultiPoly) else symbolic
+    assert value == expected
+    expansion = det_schur_expansion(rp, k, SplitForms.split(forms, u)).value
+    assert expansion == symbolic
