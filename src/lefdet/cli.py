@@ -13,8 +13,11 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, 2 usage error.  Literal-case
-audit findings are reported but never change the exit code.
+determinant and the expansion or closed form, 2 usage error or an arithmetic
+fault (a failed exactness check), reported as an error document.  When
+``verify`` or ``sweep`` exits 1, one line on stderr names the first
+mismatching trial and the ``lefdet report`` command that recomputes it.
+Literal-case audit findings are reported but never change the exit code.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import hashlib
 import io
 import json
 import random
+import shlex
 import sys
 from fractions import Fraction
 
@@ -241,6 +245,22 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     return lattice_cells(args.dmax)
 
 
+def note_first_mismatch(results: list[dict]) -> None:
+    """Name the first mismatching trial on stderr, with a command that recomputes it."""
+    for cell in results:
+        for row in cell["trials"]:
+            if row["match"]:
+                continue
+            d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
+            forms = ";".join(",".join(pair) for pair in row["forms"])
+            sys.stderr.write(
+                f"lefdet: first mismatch at (d,q,k,u,trial) = "
+                f"({d},{q},{k},{u},{row['trial']}); reproduce with: lefdet report "
+                f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
+            )
+            return
+
+
 def cmd_verify(args) -> tuple[dict, int]:
     cells = _sweep_cells(args)
     results = run_lattice(cells, args.seed, args.trials, args.allow_zero)
@@ -272,6 +292,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             "literal_case_flagged_cells": [list(c) for c in literal_flagged],
         },
     }
+    if mismatches:
+        note_first_mismatch(results)
     return doc, EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
@@ -307,6 +329,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
         "rows": rows,
         "summary": {"rows": len(rows), "mismatches": mismatches},
     }
+    if mismatches:
+        note_first_mismatch(results)
     return doc, EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
@@ -543,7 +567,7 @@ def main(argv=None) -> int:
     try:
         doc, code = COMMANDS[args.command](args)
         emit(doc, args.output)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stdout.write(
             json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True) + "\n"
         )

@@ -1,10 +1,12 @@
 """Dense exact matrices: determinants, minors, and a Cauchy-Binet verifier.
 
 Two determinant routes are kept deliberately independent: fraction-free
-Bareiss elimination (rational entries; every intermediate division is
-checked exact) and memoized Laplace expansion (any exact coefficient ring,
-and the small-size cross-check for Bareiss).  ``det`` picks Bareiss when all
-entries are rational and Laplace otherwise.
+Bareiss elimination (rational entries, taken to a primitive integer matrix by
+clearing each row's denominators and dividing out every row's and column's
+content; every intermediate division is checked exact) and memoized Laplace
+expansion (any exact coefficient ring, and the small-size cross-check for
+Bareiss).  ``det`` picks Bareiss when all entries are rational, Laplace when
+some are ``MultiPoly``, and rejects anything else.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+
+from .mpoly import MultiPoly
 
 
 class ExactMatrix:
@@ -95,11 +99,15 @@ class ExactMatrix:
 
 
 def det_bareiss(m: ExactMatrix) -> Fraction:
-    """Fraction-free determinant for rational entries.
+    """Fraction-free determinant for rational (``int`` or ``Fraction``) entries.
 
-    Denominators are cleared row by row, the integer Bareiss recurrence runs
-    with first-nonzero pivoting and sign tracking, and every interior
-    division is checked remainder-free (``ArithmeticError`` otherwise).
+    Each row is scaled by the lcm of its denominators to integers, then the
+    content (gcd) of every row and of every column is divided out and
+    multiplied back in at the end; a zero row or column gives 0 at once.
+    The integer Bareiss recurrence runs on what is left with first-nonzero
+    pivoting and sign tracking, and every interior division is checked
+    remainder-free (``ArithmeticError`` otherwise).  Any other entry type is
+    a ``ValueError``.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -107,12 +115,28 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     if n == 0:
         return Fraction(1)
     scale = 1
+    content = 1
     a: list[list[int]] = []
     for r in range(n):
-        row = [Fraction(x) for x in m.row(r)]
-        den = lcm(*(f.denominator for f in row))
+        row = m.row(r)
+        if not all(isinstance(x, (int, Fraction)) for x in row):
+            raise ValueError("Bareiss elimination needs int or Fraction entries")
+        den = lcm(*(x.denominator for x in row))
         scale *= den
-        a.append([int(f * den) for f in row])
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+        if g == 0:
+            return Fraction(0)
+        content *= g
+        a.append([x // g for x in ints] if g != 1 else ints)
+    for c in range(n):
+        g = gcd(*(row[c] for row in a))
+        if g == 0:
+            return Fraction(0)
+        if g != 1:
+            content *= g
+            for row in a:
+                row[c] //= g
     sign = 1
     prev = 1
     for col in range(n - 1):
@@ -134,7 +158,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
                 cur[c] = quot
             cur[col] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(sign * content * a[n - 1][n - 1], scale)
 
 
 def det_laplace(m: ExactMatrix):
@@ -169,11 +193,20 @@ def det_laplace(m: ExactMatrix):
 
 
 def det(m: ExactMatrix):
-    """Exact determinant; Bareiss over rationals, Laplace otherwise."""
+    """Exact determinant; Bareiss over rationals, Laplace over ``MultiPoly``.
+
+    Any entry that is not ``int``, ``Fraction`` or ``MultiPoly`` (a ``float``
+    included) is a ``ValueError``.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     if all(isinstance(e, (int, Fraction)) for e in m.entries):
         return det_bareiss(m)
+    for e in m.entries:
+        if not isinstance(e, (int, Fraction, MultiPoly)):
+            raise ValueError(
+                f"matrix entry {e!r} is not exact: need int, Fraction or MultiPoly"
+            )
     return det_laplace(m)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import ExactMatrix, det
 from .mpoly import MultiPoly
@@ -167,6 +168,13 @@ def det_direct(rp: RingParams, k: int, forms):
 
     This is the artifact-wide ground truth; dimension symmetry makes the map
     square exactly when the number of forms is d+q-2k.
+
+    The determinant is homogeneous of degree dim(R_k) in each pair (a_t, b_t).
+    So rational forms are first scaled to primitive integer pairs,
+    (A_t, B_t) = s_t * (a_t, b_t) with s_t = lcm(denominators) / gcd(numerators),
+    the matrix is built and reduced in ``int`` only, and the result is
+    det / prod(s_t)^dim(R_k), a ``Fraction``.  ``MultiPoly`` forms take the
+    generic path.
     """
     forms = tuple(forms)
     n = rp.socle - 2 * k
@@ -176,7 +184,21 @@ def det_direct(rp: RingParams, k: int, forms):
         raise ValueError(
             f"non-square multiplication map: need {n} forms for k={k}, got {len(forms)}"
         )
-    return det(mult_matrix_block(rp, forms, k))
+    if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
+        return det(mult_matrix_block(rp, forms, k))
+    scale = Fraction(1)
+    primitive = []
+    for f in forms:
+        den = lcm(f.a.denominator, f.b.denominator)
+        g = gcd(f.a.numerator, f.b.numerator)
+        scale *= Fraction(den, g)
+        primitive.append(
+            LinearForm(
+                f.a.numerator * (den // f.a.denominator) // g,
+                f.b.numerator * (den // f.b.denominator) // g,
+            )
+        )
+    return det(mult_matrix_block(rp, primitive, k)) / scale ** dim(rp, k)
 
 
 @dataclass(frozen=True)

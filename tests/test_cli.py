@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from lefdet.cli import (
     parse_values,
     random_form,
 )
-from lefdet.ring import LinearForm
+from lefdet.ring import LinearForm, RingParams
 
 
 def run(capsys, *argv):
@@ -281,6 +282,68 @@ def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
     assert doc["summary"]["mismatches"] > 0
 
 
+@pytest.fixture
+def closed_form_off_by_one(monkeypatch):
+    """Make the closed form that verify and sweep compare wrong by 1."""
+    import lefdet.cli as cli
+
+    exact = cli.det_closed_form
+    monkeypatch.setattr(cli, "det_closed_form", lambda rp, k, forms: exact(rp, k, forms) + 1)
+    return cli.det_closed_form
+
+
+def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_off_by_one):
+    code = main(["verify", "--dmax", "3"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    cell, row = next(
+        (cell, row) for cell in doc["cells"] for row in cell["trials"] if not row["match"]
+    )
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    where = f"({cell['d']},{cell['q']},{cell['k']},{cell['u']},{row['trial']})"
+    assert f"first mismatch at (d,q,k,u,trial) = {where}" in lines[0]
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
+    assert command[:2] == ["lefdet", "report"]
+
+    # the command recomputes that very trial: same forms, same direct
+    # determinant, and the closed form on those forms still disagrees
+    code, report = run_json(capsys, *command[1:])
+    assert code == 0
+    assert [report["inputs"][key] for key in "dqku"] == [cell[key] for key in "dqku"]
+    assert report["inputs"]["forms"] == row["forms"]
+    assert report["det_direct"] == row["det_direct"]
+    forms = [LinearForm(Fraction(a), Fraction(b)) for a, b in row["forms"]]
+    closed = closed_form_off_by_one(RingParams(cell["d"], cell["q"]), cell["k"], forms)
+    assert str(closed) == row["det_closed"] != report["det_direct"]
+
+
+def test_sweep_names_the_same_first_mismatch_and_only_on_exit_1(capsys, request):
+    args = ["--dmax", "3", "--seed", "4"]
+    assert main(["sweep", *args]) == 0
+    assert capsys.readouterr().err == ""
+    request.getfixturevalue("closed_form_off_by_one")
+    assert main(["verify", *args]) == 1
+    verify_err = capsys.readouterr().err
+    assert verify_err.startswith("lefdet: first mismatch at")
+    assert main(["sweep", *args, "--output", "csv"]) == 1
+    assert capsys.readouterr().err == verify_err
+
+
+def test_arithmetic_fault_is_an_error_document_not_a_mismatch(capsys, monkeypatch):
+    # a failed Bareiss exactness check is a fault of the program, not a
+    # verified disagreement between routes, so it must not exit 1
+    import lefdet.linalg as linalg
+
+    monkeypatch.setattr(linalg, "divmod", lambda a, b: (a // b, 1), raising=False)
+    code, doc = run_json(
+        capsys, "det", "--d", "4", "--q", "3", "--k", "1", "--forms=1,2;3,5;1,1;2,7;1,3",
+    )
+    assert code == 2
+    assert doc["error"] == "Bareiss interior division must be exact"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -333,12 +396,26 @@ GOLDEN = [
          "--forms", "2,1;1,3;-1,2;3,-5;1/2,7;4,-1/3"],
         0, "52f30e6f2e2984f5f6f2aeeff799ab45afbccfa995ee2f91801820475e562e93",
     ),
+    (
+        ["slp", "--d", "12", "--q", "9", "--forms=-7/2,5/3"],
+        0, "4fc69d3767304474b2435671bca24cf65f2fbb99bedf5c772544d10b3a2fe38c",
+    ),
+    (
+        ["slp", "--d", "6", "--q", "4", "--forms=0,3"],
+        0, "c91b656ac62229d4ce274d64289bfd3e63f73711a7eb0be4e496cef87b2e6dd4",
+    ),
+    (
+        ["det", "--d", "7", "--q", "5", "--k", "2", "--method", "direct",
+         "--forms=3,-1/2;0,5;-7/4,2;6,0;1/3,-9/7;-2,-3;5/6,1;4,-11/10"],
+        0, "5c62e27eeecd9546f78fef874b0fe200dbb1f6205359ccd5dbadd529cd24b39e",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,code,digest", GOLDEN,
-    ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion"],
+    ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion",
+         "slp-rational", "slp-zero-dets", "det-direct-mixed"],
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)

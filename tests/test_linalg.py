@@ -7,6 +7,7 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lefdet.linalg import (
     ExactMatrix,
@@ -102,6 +103,65 @@ def test_det_is_multiplicative():
         m1 = random_matrix(rng, n, n)
         m2 = random_matrix(rng, n, n)
         assert det(m1 @ m2) == det(m1) * det(m2)
+
+
+def test_det_rejects_inexact_entries():
+    with pytest.raises(ValueError, match="not exact"):
+        det(ExactMatrix(1, 1, [0.5]))
+    x, _ = MultiPoly.variables(2)
+    with pytest.raises(ValueError, match="not exact"):
+        det(ExactMatrix.from_rows([[x, 1.0], [1, x]]))
+    for entries in ([0.5], [x]):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            det_bareiss(ExactMatrix(1, 1, entries))
+
+
+def test_inexact_entries_are_rejected_even_under_optimize():
+    import lefdet
+
+    script = (
+        "import lefdet.linalg as la\n"
+        "for f in (la.det, la.det_bareiss):\n"
+        "    try:\n"
+        "        print(f(la.ExactMatrix(1, 1, [0.5])))\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lefdet.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.split() == ["ValueError", "ValueError"]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 6x6, some with a zero row or column or a planted factor."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    factor = draw(st.fractions(min_value=-40, max_value=40, max_denominator=7).filter(bool))
+    plant = draw(st.sampled_from(["none", "zero row", "zero column", "row factor",
+                                  "column factor", "both factors"]))
+    if plant == "zero row":
+        rows[r] = [Fraction(0)] * n
+    if plant == "zero column":
+        for row in rows:
+            row[c] = Fraction(0)
+    if plant in ("row factor", "both factors"):
+        rows[r] = [x * factor for x in rows[r]]
+    if plant in ("column factor", "both factors"):
+        for row in rows:
+            row[c] *= factor
+    return ExactMatrix.from_rows(rows)
+
+
+@given(rational_matrices())
+def test_content_reduced_bareiss_equals_laplace(m):
+    value = det_bareiss(m)
+    assert type(value) is Fraction
+    assert value == det_laplace(m)
 
 
 def test_det_dispatches_to_laplace_for_polynomials():

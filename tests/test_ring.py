@@ -319,3 +319,38 @@ def test_symbolic_evaluation_agrees_with_both_rational_determinants(case):
     assert value == expected
     expansion = det_schur_expansion(rp, k, SplitForms.split(forms, u)).value
     assert expansion == symbolic
+
+
+@st.composite
+def rational_cells(draw):
+    """A cell (d, q, k) with d+q <= 9 and forms mixing int and Fraction coefficients.
+
+    Coefficients carry either sign, may be zero (never both in one form) and
+    have denominators up to 10^6, so the primitive integer scaling in
+    ``det_direct`` meets nontrivial lcms and gcds.
+    """
+    q = draw(st.integers(min_value=1, max_value=4))
+    d = draw(st.integers(min_value=q, max_value=9 - q))
+    k = draw(st.integers(min_value=0, max_value=(d + q) // 2))
+    coeff = st.one_of(
+        st.integers(min_value=-12, max_value=12),
+        st.builds(
+            Fraction,
+            st.integers(min_value=-(10**6), max_value=10**6),
+            st.integers(min_value=1, max_value=10**6),
+        ),
+    )
+    pair = st.tuples(coeff, coeff).filter(lambda ab: ab != (0, 0))
+    pairs = draw(st.lists(pair, min_size=d + q - 2 * k, max_size=d + q - 2 * k))
+    return d, q, k, [LinearForm(a, b) for a, b in pairs]
+
+
+@given(rational_cells())
+def test_integer_route_agrees_with_laplace_on_the_rational_block(case):
+    # det_direct scales the forms to primitive integer pairs; Laplace on the
+    # unscaled rational block shares none of that
+    d, q, k, forms = case
+    rp = RingParams(d, q)
+    value = det_direct(rp, k, forms)
+    assert type(value) is Fraction
+    assert value == det_laplace(mult_matrix_block(rp, forms, k))
