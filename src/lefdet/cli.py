@@ -4,7 +4,9 @@ Subcommands: ``det`` (one determinant by any method), ``verify`` (seeded
 cross-check sweep with exit-code semantics), ``sweep`` (the same lattice as a
 flat per-trial table), ``slp`` (strong Lefschetz scan), ``schur`` (the three
 Schur evaluators side by side), ``duality`` (rectangular Schur identities),
-``report`` (full side-by-side record for one instance).
+``report`` (full side-by-side record for one instance).  ``verify``,
+``sweep`` and ``report`` format every route from the one ``CellRecord`` that
+``discrepancy_report`` builds per trial.
 
 All rationals in output are strings ``p`` or ``p/q`` in lowest terms; there
 is no floating point anywhere.  ``verify`` and ``sweep`` evaluate cells in
@@ -13,10 +15,11 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, 2 usage error or an arithmetic
-fault (a failed exactness check), reported as an error document.  When
-``verify`` or ``sweep`` exits 1, one line on stderr names the first
-mismatching trial and the ``lefdet report`` command that recomputes it.
+determinant and the expansion or closed form, at any split, 2 usage error or
+an arithmetic fault (a failed exactness check), reported as an error
+document.  When ``verify`` or ``sweep`` exits 1, one line on stderr names the
+first mismatching trial and the ``lefdet report`` command that recomputes it,
+which exits 1 on the same disagreement.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -49,6 +52,11 @@ SCHEMA = "lefdet/1"
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# one row of ``sweep``: its JSON keys and, in this order, its CSV columns
+SWEEP_COLUMNS = (
+    "d", "q", "k", "u", "seed", "trial", "det_direct", "det_expansion", "det_closed", "match",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +107,11 @@ def term_doc(term) -> dict:
         "nu": str(term.nu),
         "value": fmt(term.value),
     }
+
+
+def audit_doc(case, direct) -> dict:
+    """One literal audit case, flagged against the direct determinant."""
+    return {"case": case.case_id, "value": fmt(case.value), "matches_direct": case.value == direct}
 
 
 # ---------------------------------------------------------------------------
@@ -152,30 +165,17 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
         rng = cell_rng(seed, d, q, k, u, t)
         forms = [random_form(rng, allow_zero) for _ in range(n)]
         record = discrepancy_report(rp, k, SplitForms.split(forms, u))
-        # the report carries the closed form only for the trivial split
-        closed = record["det_closed_form"]
-        if closed is None:
-            closed = det_closed_form(rp, k, forms)
-        if record["literal_case_error"] is None:
-            audit = [
-                {
-                    "case": c["case"],
-                    "value": fmt(c["value"]),
-                    "matches_direct": c["matches_direct"],
-                }
-                for c in record["literal_case_audit"]
-            ]
-        else:
-            audit = "undefined"
         rows.append(
             {
                 "trial": t,
                 "forms": [form_doc(f) for f in forms],
-                "det_direct": fmt(record["det_direct"]),
-                "det_expansion": fmt(record["det_expansion"]),
-                "det_closed": fmt(closed),
-                "match": record["matches"]["expansion"] and closed == record["det_direct"],
-                "literal_case_audit": audit,
+                "det_direct": fmt(record.direct),
+                "det_expansion": fmt(record.expansion.value),
+                "det_closed": fmt(record.closed),
+                "match": record.expansion_matches and record.closed_matches,
+                "literal_case_audit": "undefined"
+                if record.literal_error is not None
+                else [audit_doc(c, record.direct) for c in record.literal],
             }
         )
     return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
@@ -224,6 +224,9 @@ def cmd_det(args) -> tuple[dict, int]:
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    stray = [f"--{name}" for name in "qku" if getattr(args, name) is not None]
+    if args.d is None and stray:
+        raise ValueError(f"{', '.join(stray)} without --d: single-cell flags need --d")
     if args.d is not None:
         if args.q is None:
             raise ValueError("--q is required with --d")
@@ -303,20 +306,8 @@ def cmd_sweep(args) -> tuple[dict, int]:
     rows = []
     for cell in results:
         for row in cell["trials"]:
-            rows.append(
-                {
-                    "d": cell["d"],
-                    "q": cell["q"],
-                    "k": cell["k"],
-                    "u": cell["u"],
-                    "seed": args.seed,
-                    "trial": row["trial"],
-                    "det_direct": row["det_direct"],
-                    "det_expansion": row["det_expansion"],
-                    "det_closed": row["det_closed"],
-                    "match": row["match"],
-                }
-            )
+            source = {**cell, "seed": args.seed, **row}
+            rows.append({key: source[key] for key in SWEEP_COLUMNS})
     mismatches = sum(1 for r in rows if not r["match"])
     doc = {
         "schema": SCHEMA,
@@ -426,19 +417,22 @@ def cmd_report(args) -> tuple[dict, int]:
             "u": u,
             "forms": [form_doc(f) for f in forms],
         },
-        "det_direct": fmt(record["det_direct"]),
-        "det_expansion": fmt(record["det_expansion"]),
-        "expansion_terms": [term_doc(t) for t in record["expansion_terms"]],
-        "det_closed_form": None
-        if record["det_closed_form"] is None
-        else fmt(record["det_closed_form"]),
+        "det_direct": fmt(record.direct),
+        "det_expansion": fmt(record.expansion.value),
+        "expansion_terms": [term_doc(t) for t in record.expansion.terms],
+        "det_closed_form": fmt(record.closed),
         "literal_case_audit": [
-            {**c, "value": fmt(c["value"])} for c in record["literal_case_audit"]
+            {
+                **audit_doc(c, record.direct),
+                "condition": c.condition,
+                "skipped_terms": c.skipped_terms,
+            }
+            for c in record.literal
         ],
-        "literal_case_error": record["literal_case_error"],
-        "matches": record["matches"],
+        "literal_case_error": record.literal_error,
+        "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    ok = record["matches"]["expansion"] and record["matches"]["closed_form"] is not False
+    ok = record.expansion_matches and record.closed_matches
     return doc, EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -451,20 +445,10 @@ def emit(doc: dict, output: str) -> None:
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         return
     if output == "csv":
-        rows = doc.get("rows")
-        if rows is None:
-            raise ValueError("csv output is only available for sweep")
         buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=[
-                "d", "q", "k", "u", "seed", "trial",
-                "det_direct", "det_expansion", "det_closed", "match",
-            ],
-            lineterminator="\n",
-        )
+        writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
+        for row in doc["rows"]:
             writer.writerow(
                 {k: ("true" if v else "false") if isinstance(v, bool) else v
                  for k, v in row.items()}
@@ -565,6 +549,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output == "csv" and args.command != "sweep":
+            raise ValueError("csv output is only available for sweep")
         doc, code = COMMANDS[args.command](args)
         emit(doc, args.output)
     except (ValueError, ArithmeticError) as exc:

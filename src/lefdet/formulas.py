@@ -13,15 +13,16 @@ in the coefficients, so the expansion reproduces the brute-force determinant
 exactly, with no nonvanishing hypotheses, over rationals and over symbolic
 coefficients alike.
 
-``det_closed_form`` is the u = d+q-2k degeneration: a single rectangular
-Schur value.
+``det_closed_form`` is a single rectangular Schur value of the unsplit
+product, the u = d+q-2k degeneration of the expansion.  The determinant does
+not depend on how the forms are split, so the closed form applies at every u.
 
 ``det_literal_cases`` is audit-only.  It evaluates a tempting per-case set
 of ratio formulas (organized by how k and k+u sit relative to q and d) whose
 mixed-split cases are KNOWN to disagree with the direct determinant: the hat
 group's entry law mirrors through a, not b, and the four case statements do
-not account for that.  ``discrepancy_report`` computes everything side by
-side and flags each comparison, so the disagreement is documented evidence,
+not account for that.  ``discrepancy_report`` computes every route side by
+side as one ``CellRecord``, so the disagreement is documented evidence,
 never silently trusted.
 """
 
@@ -275,49 +276,49 @@ def complement_identity_check(
     return ComplementIdentityResult(mu=mu, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
-def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> dict:
-    """Side-by-side record of every determinant route for one instance.
+@dataclass(frozen=True)
+class CellRecord:
+    """Every determinant route for one instance, side by side.
 
-    Keys hold live ring values (Fraction or MultiPoly); the closed form is
-    included only for the trivial split (hat empty), where it applies.
-    Literal cases carry per-case match flags and never influence the
-    ``matches`` verdicts.
+    Values are live ring values (Fraction or MultiPoly).  ``literal`` holds
+    the audit cases, empty when ``literal_error`` says why they are
+    undefined; they never influence the two verdicts.
     """
-    n = _validate_cell(rp, k, len(sf.all_forms))
+
+    rp: RingParams
+    k: int
+    split: SplitForms
+    direct: object
+    expansion: Expansion
+    closed: object
+    literal: tuple[LiteralCase, ...]
+    literal_error: str | None
+
+    @property
+    def expansion_matches(self) -> bool:
+        return self.expansion.value == self.direct
+
+    @property
+    def closed_matches(self) -> bool:
+        return self.closed == self.direct
+
+
+def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
+    """Compute the direct, expansion and closed-form routes and the literal
+    audit for one instance.
+
+    The closed form is computed on every split: it is the determinant of the
+    unsplit product, which the split does not change.
+    """
+    _validate_cell(rp, k, len(sf.all_forms))
     direct = det_direct(rp, k, sf.all_forms)
     expansion = det_schur_expansion(rp, k, sf)
-    closed = det_closed_form(rp, k, sf.all_forms) if sf.u == n else None
+    closed = det_closed_form(rp, k, sf.all_forms)
     try:
-        literal = [
-            {
-                "case": c.case_id,
-                "condition": c.condition,
-                "value": c.value,
-                "skipped_terms": c.skipped_terms,
-                "matches_direct": c.value == direct,
-            }
-            for c in det_literal_cases(rp, k, sf)
-        ]
-        literal_error = None
+        literal, literal_error = tuple(det_literal_cases(rp, k, sf)), None
     except ValueError as exc:
-        literal = []
-        literal_error = str(exc)
-    return {
-        "d": rp.d,
-        "q": rp.q,
-        "k": k,
-        "u": sf.u,
-        "det_direct": direct,
-        "det_expansion": expansion.value,
-        "expansion_terms": expansion.terms,
-        "det_closed_form": closed,
-        "literal_case_audit": literal,
-        "literal_case_error": literal_error,
-        "matches": {
-            "expansion": expansion.value == direct,
-            "closed_form": None if closed is None else closed == direct,
-        },
-    }
+        literal, literal_error = (), str(exc)
+    return CellRecord(rp, k, sf, direct, expansion, closed, literal, literal_error)
 
 
 def symbolic_forms(n: int) -> tuple[list[LinearForm], list[str]]:

@@ -241,19 +241,19 @@ def test_criterion_9_audit_fixtures():
     rp = RingParams(2, 2)
     forms = [LinearForm(Fraction(2), Fraction(1)), LinearForm(Fraction(1), Fraction(3))]
     record = discrepancy_report(rp, 1, SplitForms.split(forms, 1))
-    assert record["det_direct"] == 43
-    assert record["det_expansion"] == 43
-    case2 = next(c for c in record["literal_case_audit"] if c["case"] == 2)
-    assert case2["value"] == 36 and case2["matches_direct"] is False
+    assert record.direct == 43
+    assert record.expansion.value == 43
+    case2 = next(c for c in record.literal if c.case_id == 2)
+    assert case2.value == 36 != record.direct
 
     symb, _ = symbolic_forms(2)
     record = discrepancy_report(RingParams(4, 2), 2, SplitForms.split(symb, 1))
     a1, a2, b1, b2 = (*[f.a for f in symb], *[f.b for f in symb])
-    assert record["det_direct"] == a1**3 * a2**3
-    assert record["matches"]["expansion"] is True
-    case1 = next(c for c in record["literal_case_audit"] if c["case"] == 1)
-    assert case1["value"] == a1**3 * b2**3
-    assert case1["matches_direct"] is False
+    assert record.direct == a1**3 * a2**3
+    assert record.expansion_matches is True
+    case1 = next(c for c in record.literal if c.case_id == 1)
+    assert case1.value == a1**3 * b2**3
+    assert case1.value != record.direct
     report(9, "(2,2,1,1): direct=expansion=43, literal 36 flagged; "
               "(4,2,2,1) symbolic: direct a1^3*a2^3 vs literal a1^3*b2^3 flagged")
 

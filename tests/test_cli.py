@@ -12,7 +12,7 @@ from lefdet.cli import (
     parse_values,
     random_form,
 )
-from lefdet.ring import LinearForm, RingParams
+from lefdet.ring import LinearForm
 
 
 def run(capsys, *argv):
@@ -244,10 +244,10 @@ def test_report_document(capsys):
     )
     assert code == 0
     assert doc["det_direct"] == doc["det_expansion"] == "43"
-    assert doc["det_closed_form"] is None
+    assert doc["det_closed_form"] == "43"
     audit = doc["literal_case_audit"]
     assert any(c["value"] == "36" and not c["matches_direct"] for c in audit)
-    assert doc["matches"]["expansion"] is True
+    assert doc["matches"] == {"expansion": True, "closed_form": True}
 
 
 def test_text_output_renders(capsys):
@@ -272,9 +272,9 @@ def test_verify_rejects_out_of_range_k(capsys):
 
 
 def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
-    import lefdet.cli as cli
+    import lefdet.formulas as formulas
 
-    monkeypatch.setattr(cli, "det_closed_form", lambda rp, k, forms: Fraction(10**9))
+    monkeypatch.setattr(formulas, "det_closed_form", lambda rp, k, forms: Fraction(10**9))
     code, doc = run_json(
         capsys, "verify", "--d", "1", "--q", "1", "--k", "0", "--trials", "1"
     )
@@ -284,12 +284,13 @@ def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
 
 @pytest.fixture
 def closed_form_off_by_one(monkeypatch):
-    """Make the closed form that verify and sweep compare wrong by 1."""
-    import lefdet.cli as cli
+    """Make the closed form in every cell record wrong by 1."""
+    import lefdet.formulas as formulas
 
-    exact = cli.det_closed_form
-    monkeypatch.setattr(cli, "det_closed_form", lambda rp, k, forms: exact(rp, k, forms) + 1)
-    return cli.det_closed_form
+    exact = formulas.det_closed_form
+    monkeypatch.setattr(
+        formulas, "det_closed_form", lambda rp, k, forms: exact(rp, k, forms) + 1
+    )
 
 
 def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_off_by_one):
@@ -300,6 +301,9 @@ def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_
     cell, row = next(
         (cell, row) for cell in doc["cells"] for row in cell["trials"] if not row["match"]
     )
+    # the first mismatch is at a mixed split (u < n): report must check the
+    # closed form there too, not only at u == n
+    assert cell["u"] < cell["d"] + cell["q"] - 2 * cell["k"]
     lines = captured.err.splitlines()
     assert len(lines) == 1
     where = f"({cell['d']},{cell['q']},{cell['k']},{cell['u']},{row['trial']})"
@@ -308,15 +312,22 @@ def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_
     assert command[:2] == ["lefdet", "report"]
 
     # the command recomputes that very trial: same forms, same direct
-    # determinant, and the closed form on those forms still disagrees
+    # determinant, and the same wrong closed form, so it exits 1 too
     code, report = run_json(capsys, *command[1:])
-    assert code == 0
+    assert code == 1
     assert [report["inputs"][key] for key in "dqku"] == [cell[key] for key in "dqku"]
     assert report["inputs"]["forms"] == row["forms"]
     assert report["det_direct"] == row["det_direct"]
-    forms = [LinearForm(Fraction(a), Fraction(b)) for a, b in row["forms"]]
-    closed = closed_form_off_by_one(RingParams(cell["d"], cell["q"]), cell["k"], forms)
-    assert str(closed) == row["det_closed"] != report["det_direct"]
+    assert report["det_closed_form"] == row["det_closed"] != report["det_direct"]
+    assert report["matches"]["closed_form"] is False
+
+
+def test_csv_is_rejected_before_the_lattice_runs(capsys, closed_form_off_by_one):
+    # a usage error, not a mismatch: no trial runs and no reproduce line
+    code = main(["verify", "--dmax", "3", "--output", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2 and "error" in json.loads(captured.out)
+    assert captured.err == ""
 
 
 def test_sweep_names_the_same_first_mismatch_and_only_on_exit_1(capsys, request):
@@ -353,6 +364,9 @@ def test_arithmetic_fault_is_an_error_document_not_a_mismatch(capsys, monkeypatc
         ["sweep", "--trials", "-2"],
         ["sweep", "--dmax", "1", "--output", "csv"],
         ["verify", "--d", "2", "--q", "2", "--k", "1", "--trials", "0"],
+        ["verify", "--k", "99", "--dmax", "3"],
+        ["sweep", "--q", "2"],
+        ["verify", "--u", "0", "--dmax", "2"],
     ],
 )
 def test_vacuous_sweeps_are_usage_errors(capsys, argv):
@@ -389,7 +403,7 @@ GOLDEN = [
     ),
     (
         ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1", "--forms", "2,1;1,3"],
-        0, "aba9598fff7ece709817afc3c0a01d911e60f8dd490d9dda740f49eb0098eba1",
+        0, "f1980e80eeb47c18efb13aff5192995aab8d346c3b5c95096f977595494f5690",
     ),
     (
         ["det", "--d", "4", "--q", "4", "--k", "1", "--u", "3", "--method", "expansion",

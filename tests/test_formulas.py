@@ -342,23 +342,23 @@ def test_complement_identity_validation():
 def test_report_trivial_split_all_routes_agree():
     rp = RingParams(1, 1)
     record = discrepancy_report(rp, 0, SplitForms.split([F(1, 2), F(3, 1)], 2))
-    assert record["det_direct"] == record["det_expansion"] == 7
-    assert record["det_closed_form"] == 7
-    assert record["matches"] == {"expansion": True, "closed_form": True}
+    assert record.direct == record.expansion.value == 7
+    assert record.closed == 7
+    assert (record.expansion_matches, record.closed_matches) == (True, True)
 
 
 def test_report_mixed_split_flags_literal_only():
     rp = RingParams(2, 2)
     record = discrepancy_report(rp, 1, SplitForms(check=[F(2, 1)], hat=[F(1, 3)]))
-    assert record["matches"]["expansion"] is True
-    assert record["det_closed_form"] is None
-    flagged = [c for c in record["literal_case_audit"] if not c["matches_direct"]]
-    assert flagged and all(c["value"] == 36 for c in record["literal_case_audit"])
+    assert record.expansion_matches is True
+    assert record.closed == record.direct == 43 and record.closed_matches is True
+    flagged = [c for c in record.literal if c.value != record.direct]
+    assert flagged and all(c.value == 36 for c in record.literal)
 
 
 def test_report_literal_error_recorded_not_raised():
     rp = RingParams(2, 2)
     record = discrepancy_report(rp, 1, SplitForms(check=[F(1, 0)], hat=[F(1, 3)]))
-    assert record["literal_case_audit"] == []
-    assert "undefined" in record["literal_case_error"]
-    assert record["matches"]["expansion"] is True
+    assert record.literal == ()
+    assert "undefined" in record.literal_error
+    assert record.expansion_matches is True
