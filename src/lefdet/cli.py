@@ -144,16 +144,20 @@ def random_form(rng: random.Random, allow_zero: bool = False) -> LinearForm:
 # sweep lattice
 
 
+def ring_cells(d: int, q: int) -> list[tuple[int, int, int, int]]:
+    """Every (d, q, k, u) of one ring: 0 <= k <= (d+q)/2, 0 <= u <= d+q-2k, sorted."""
+    s = d + q
+    return [(d, q, k, u) for k in range(s // 2 + 1) for u in range(s - 2 * k + 1)]
+
+
 def lattice_cells(smax: int) -> list[tuple[int, int, int, int]]:
     """All (d, q, k, u) with d >= q >= 1, d+q <= smax, sorted."""
-    cells = []
-    for s in range(2, smax + 1):
-        for q in range(1, s // 2 + 1):
-            d = s - q
-            for k in range(s // 2 + 1):
-                for u in range(s - 2 * k + 1):
-                    cells.append((d, q, k, u))
-    return cells
+    return [
+        cell
+        for s in range(2, smax + 1)
+        for q in range(1, s // 2 + 1)
+        for cell in ring_cells(s - q, q)
+    ]
 
 
 def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zero: bool) -> dict:
@@ -181,95 +185,99 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
     return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
 
 
-def run_lattice(cells, seed: int, trials: int, allow_zero: bool) -> list[dict]:
-    return [eval_cell(seed, cell, trials, allow_zero) for cell in cells]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_det(args) -> tuple[dict, int]:
+def read_cell(args) -> tuple[RingParams, SplitForms, dict]:
+    """The ring, the split forms and the inputs document from the cell flags
+    of ``det`` and ``report``; the split defaults to all forms in the check group."""
     rp = RingParams(args.d, args.q)
     forms = parse_forms(args.forms)
-    doc = {
-        "schema": SCHEMA,
-        "command": "det",
-        "inputs": {
-            "d": args.d,
-            "q": args.q,
-            "k": args.k,
-            "forms": [form_doc(f) for f in forms],
-            "method": args.method,
-        },
-    }
+    sf = SplitForms.split(forms, len(forms) if args.u is None else args.u)
+    inputs = {"d": args.d, "q": args.q, "k": args.k, "forms": [form_doc(f) for f in forms]}
+    return rp, sf, inputs
+
+
+def cmd_det(args) -> tuple[dict, int]:
+    if args.u is not None and args.method != "expansion":
+        raise ValueError(f"--u splits the expansion; --method {args.method} takes no split")
+    rp, sf, inputs = read_cell(args)
+    doc = {"schema": SCHEMA, "command": "det", "inputs": {**inputs, "method": args.method}}
+    direct = det_direct(rp, args.k, sf.all_forms)
     if args.method == "direct":
-        doc["det"] = fmt(det_direct(rp, args.k, forms))
+        doc["det"] = fmt(direct)
         return doc, EXIT_OK
-    direct = det_direct(rp, args.k, forms)
     if args.method == "closed":
-        value = det_closed_form(rp, args.k, forms)
-        doc["det"] = fmt(value)
+        value = det_closed_form(rp, args.k, sf.all_forms)
     else:
-        u = len(forms) if args.u is None else args.u
-        doc["inputs"]["u"] = u
-        expansion = det_schur_expansion(rp, args.k, SplitForms.split(forms, u))
+        doc["inputs"]["u"] = sf.u
+        expansion = det_schur_expansion(rp, args.k, sf)
         value = expansion.value
-        doc["det"] = fmt(value)
         doc["terms"] = [term_doc(term) for term in expansion.terms]
+    doc["det"] = fmt(value)
     doc["match_direct"] = value == direct
     return doc, EXIT_OK if value == direct else EXIT_MISMATCH
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
+    """The lattice up to --dmax, or the cells of one ring that --k and --u select."""
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    stray = [f"--{name}" for name in "qku" if getattr(args, name) is not None]
-    if args.d is None and stray:
-        raise ValueError(f"{', '.join(stray)} without --d: single-cell flags need --d")
-    if args.d is not None:
-        if args.q is None:
-            raise ValueError("--q is required with --d")
-        kmax = (args.d + args.q) // 2
-        ks = [args.k] if args.k is not None else list(range(kmax + 1))
-        cells = []
-        for k in ks:
-            if not 0 <= k <= kmax:
-                raise ValueError(f"k={k} outside 0..{kmax}")
-            n = args.d + args.q - 2 * k
-            us = [args.u] if args.u is not None else list(range(n + 1))
-            for u in us:
-                if not 0 <= u <= n:
-                    raise ValueError(f"split {u} outside 0..{n}")
-                cells.append((args.d, args.q, k, u))
-        return cells
-    if args.dmax < 2:
-        raise ValueError(f"--dmax {args.dmax} gives no cells; need --dmax >= 2")
-    return lattice_cells(args.dmax)
+    if args.d is None:
+        stray = [f"--{name}" for name in "qku" if getattr(args, name) is not None]
+        if stray:
+            raise ValueError(f"{', '.join(stray)} without --d: single-cell flags need --d")
+        dmax = 6 if args.dmax is None else args.dmax
+        if dmax < 2:
+            raise ValueError(f"--dmax {dmax} gives no cells; need --dmax >= 2")
+        return lattice_cells(dmax)
+    if args.dmax is not None:
+        raise ValueError("--dmax selects the lattice; it cannot be combined with --d")
+    if args.q is None:
+        raise ValueError("--q is required with --d")
+    cells = [
+        cell for cell in ring_cells(args.d, args.q)
+        if args.k in (None, cell[2]) and args.u in (None, cell[3])
+    ]
+    if not cells:
+        picked = " ".join(f"--{name} {getattr(args, name)}" for name in "dqku"
+                          if getattr(args, name) is not None)
+        raise ValueError(
+            f"{picked} selects no cell: need 0 <= k <= (d+q)/2 and 0 <= u <= d+q-2k"
+        )
+    return cells
 
 
-def note_first_mismatch(results: list[dict]) -> None:
-    """Name the first mismatching trial on stderr, with a command that recomputes it."""
+def run_sweep(args) -> tuple[dict, list[dict], int]:
+    """Evaluate the cells that ``verify`` or ``sweep`` selects.
+
+    Returns the inputs document, one result per cell and the number of
+    mismatching trials, and names the first mismatch on stderr with the
+    ``lefdet report`` command that recomputes it.
+    """
+    cells = _sweep_cells(args)
+    results = [eval_cell(args.seed, cell, args.trials, args.allow_zero) for cell in cells]
+    mismatches = 0
     for cell in results:
         for row in cell["trials"]:
             if row["match"]:
                 continue
-            d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
-            forms = ";".join(",".join(pair) for pair in row["forms"])
-            sys.stderr.write(
-                f"lefdet: first mismatch at (d,q,k,u,trial) = "
-                f"({d},{q},{k},{u},{row['trial']}); reproduce with: lefdet report "
-                f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
-            )
-            return
+            if not mismatches:
+                d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
+                forms = ";".join(",".join(pair) for pair in row["forms"])
+                sys.stderr.write(
+                    f"lefdet: first mismatch at (d,q,k,u,trial) = "
+                    f"({d},{q},{k},{u},{row['trial']}); reproduce with: lefdet report "
+                    f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
+                )
+            mismatches += 1
+    inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
+    return inputs, results, mismatches
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    cells = _sweep_cells(args)
-    results = run_lattice(cells, args.seed, args.trials, args.allow_zero)
-    mismatches = sum(
-        1 for cell in results for row in cell["trials"] if not row["match"]
-    )
+    inputs, results, mismatches = run_sweep(args)
     literal_flagged = sorted(
         {
             (cell["d"], cell["q"], cell["k"], cell["u"])
@@ -282,46 +290,31 @@ def cmd_verify(args) -> tuple[dict, int]:
     doc = {
         "schema": SCHEMA,
         "command": "verify",
-        "inputs": {
-            "seed": args.seed,
-            "trials": args.trials,
-            "allow_zero": args.allow_zero,
-            "cells": len(cells),
-        },
+        "inputs": {**inputs, "cells": len(results)},
         "cells": results,
         "summary": {
-            "trials": len(cells) * args.trials,
+            "trials": len(results) * args.trials,
             "mismatches": mismatches,
             "literal_case_flagged_cells": [list(c) for c in literal_flagged],
         },
     }
-    if mismatches:
-        note_first_mismatch(results)
     return doc, EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
 def cmd_sweep(args) -> tuple[dict, int]:
-    cells = _sweep_cells(args)
-    results = run_lattice(cells, args.seed, args.trials, args.allow_zero)
+    inputs, results, mismatches = run_sweep(args)
     rows = []
     for cell in results:
         for row in cell["trials"]:
             source = {**cell, "seed": args.seed, **row}
             rows.append({key: source[key] for key in SWEEP_COLUMNS})
-    mismatches = sum(1 for r in rows if not r["match"])
     doc = {
         "schema": SCHEMA,
         "command": "sweep",
-        "inputs": {
-            "seed": args.seed,
-            "trials": args.trials,
-            "allow_zero": args.allow_zero,
-        },
+        "inputs": inputs,
         "rows": rows,
         "summary": {"rows": len(rows), "mismatches": mismatches},
     }
-    if mismatches:
-        note_first_mismatch(results)
     return doc, EXIT_OK if mismatches == 0 else EXIT_MISMATCH
 
 
@@ -366,13 +359,19 @@ def cmd_schur(args) -> tuple[dict, int]:
 
 
 def cmd_duality(args) -> tuple[dict, int]:
+    complement = args.partition is not None
+    stray = [f"--{name}" for name in ("mab" if complement else "nxy")
+             if getattr(args, name) is not None]
+    if stray:
+        identity = "the complement identity" if complement else "the rectangle duality"
+        raise ValueError(f"{', '.join(stray)} do not apply to {identity}")
     doc = {"schema": SCHEMA, "command": "duality"}
-    if args.partition is not None:
+    if complement:
         if args.n is None:
             raise ValueError("--n is required for the complement identity")
         lam = Partition.from_text(args.partition)
-        x = parse_values(args.x)
-        y = parse_values(args.y)
+        x = parse_values(args.x or "")
+        y = parse_values(args.y or "")
         result = complement_identity_check(lam, args.r, args.n, x, y)
         doc["inputs"] = {
             "identity": "complement",
@@ -386,8 +385,8 @@ def cmd_duality(args) -> tuple[dict, int]:
     else:
         if args.m is None:
             raise ValueError("--m is required for the rectangle duality")
-        a = parse_values(args.a)
-        b = parse_values(args.b)
+        a = parse_values(args.a or "")
+        b = parse_values(args.b or "")
         result = duality_check(args.r, args.m, a, b)
         doc["inputs"] = {
             "identity": "rectangle",
@@ -403,20 +402,12 @@ def cmd_duality(args) -> tuple[dict, int]:
 
 
 def cmd_report(args) -> tuple[dict, int]:
-    rp = RingParams(args.d, args.q)
-    forms = parse_forms(args.forms)
-    u = len(forms) if args.u is None else args.u
-    record = discrepancy_report(rp, args.k, SplitForms.split(forms, u))
+    rp, sf, inputs = read_cell(args)
+    record = discrepancy_report(rp, args.k, sf)
     doc = {
         "schema": SCHEMA,
         "command": "report",
-        "inputs": {
-            "d": args.d,
-            "q": args.q,
-            "k": args.k,
-            "u": u,
-            "forms": [form_doc(f) for f in forms],
-        },
+        "inputs": {**inputs, "u": sf.u},
         "det_direct": fmt(record.direct),
         "det_expansion": fmt(record.expansion.value),
         "expansion_terms": [term_doc(t) for t in record.expansion.terms],
@@ -474,12 +465,17 @@ def build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("--output", choices=["json", "csv", "text"], default="json")
 
+    def add_cell(p):
+        # the cell flags of det and report, read back by read_cell
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--u", type=int, default=None,
+                       help="split point of the expansion (default: all forms in the check group)")
+        p.add_argument("--forms", default="", help="semicolon-separated pairs, e.g. 2,1;1,3")
+
     p = sub.add_parser("det", help="one determinant by the chosen method")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--forms", default="", help="semicolon-separated pairs, e.g. 2,1;1,3")
-    p.add_argument("--u", type=int, default=None, help="split point for the expansion")
+    add_cell(p)
     p.add_argument("--method", choices=["direct", "expansion", "closed"], default="direct")
     add_output(p)
 
@@ -488,8 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", "same lattice as a flat per-trial table"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dmax", type=int, default=6, help="largest d+q in the lattice")
-        p.add_argument("--d", type=int, default=None, help="single-cell mode")
+        p.add_argument("--dmax", type=int, default=None,
+                       help="largest d+q in the lattice (default 6); not with --d")
+        p.add_argument("--d", type=int, default=None,
+                       help="single-cell mode: the cells of one ring, filtered by --k and --u")
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--u", type=int, default=None)
@@ -515,20 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("duality", help="rectangular Schur identities")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, default=None, help="rectangle duality: 2m values per side")
-    p.add_argument("--a", default="", help="rectangle duality numerators")
-    p.add_argument("--b", default="", help="rectangle duality denominators")
+    p.add_argument("--a", default=None, help="rectangle duality numerators")
+    p.add_argument("--b", default=None, help="rectangle duality denominators")
     p.add_argument("--partition", default=None, help="complement identity: the shape")
     p.add_argument("--n", type=int, default=None, help="complement identity: box height")
-    p.add_argument("--x", default="")
-    p.add_argument("--y", default="")
+    p.add_argument("--x", default=None, help="complement identity numerators")
+    p.add_argument("--y", default=None, help="complement identity denominators")
     add_output(p)
 
     p = sub.add_parser("report", help="side-by-side record for one instance")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--u", type=int, default=None)
-    p.add_argument("--forms", default="")
+    add_cell(p)
     add_output(p)
 
     return parser

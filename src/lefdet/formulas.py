@@ -34,7 +34,7 @@ from itertools import combinations
 
 from .mpoly import MultiPoly
 from .partitions import Partition, enumerate_in_rectangle, rectangle
-from .ring import LinearForm, RingParams, det_direct, dim
+from .ring import LinearForm, RingParams, check_cell, det_direct, dim
 from .symfunc import HomogPair, schur, schur_homog
 
 
@@ -90,15 +90,6 @@ class Expansion:
     terms: tuple[ExpansionTerm, ...]
 
 
-def _validate_cell(rp: RingParams, k: int, nforms: int) -> int:
-    n = rp.socle - 2 * k
-    if k < 0 or n < 0:
-        raise ValueError(f"need 0 <= k <= {rp.socle // 2}, got k={k}")
-    if nforms != n:
-        raise ValueError(f"need {n} forms for k={k}, got {nforms}")
-    return n
-
-
 def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
     """Minor-expansion determinant with a full term trace.
 
@@ -107,7 +98,7 @@ def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
     division-free Schur minors described in the module docstring.  The total
     equals ``det_direct`` on the concatenated form list, including sign.
     """
-    _validate_cell(rp, k, len(sf.all_forms))
+    check_cell(rp, k, len(sf.all_forms))
     u = sf.u
     size = dim(rp, k)
     lo = max(0, k + u - rp.d)
@@ -136,7 +127,7 @@ def det_closed_form(rp: RingParams, k: int, forms):
     on every input, zero coefficients included.
     """
     forms = tuple(forms)
-    _validate_cell(rp, k, len(forms))
+    check_cell(rp, k, len(forms))
     pair = HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
     if k <= rp.q:
         width, height = rp.d - k, k + 1
@@ -173,7 +164,7 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     split (hat empty, case 1 or the closed form) matches ``det_direct`` in
     general.  Compare via ``discrepancy_report``.
     """
-    _validate_cell(rp, k, len(sf.all_forms))
+    check_cell(rp, k, len(sf.all_forms))
     d, q = rp.d, rp.q
     u = sf.u
     v = len(sf.hat)
@@ -229,21 +220,14 @@ class DualityResult:
 def duality_check(r: int, m: int, a, b) -> DualityResult:
     """(prod b)^r s_{(r^m)}(a/b) against (prod a)^r s_{(r^m)}(b/a).
 
-    Both sides are evaluated independently through ratio vectors; requires
-    2m nonzero entries on each side.
+    The rectangle (r^m) is its own complement in the r-column, 2m-row box, so
+    this is ``complement_identity_check`` at that shape; it requires 2m
+    nonzero entries on each side.
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    a = tuple(Fraction(x) for x in a)
-    b = tuple(Fraction(x) for x in b)
-    if len(a) != 2 * m or len(b) != 2 * m:
-        raise ValueError(f"need exactly 2m = {2 * m} entries on each side")
-    if any(x == 0 for x in a) or any(x == 0 for x in b):
-        raise ValueError("ratio vectors need nonzero entries")
-    shape = rectangle(r, m)
-    lhs = _product(b) ** r * schur(shape, [x / y for x, y in zip(a, b)])
-    rhs = _product(a) ** r * schur(shape, [y / x for x, y in zip(a, b)])
-    return DualityResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    result = complement_identity_check(rectangle(r, m), r, 2 * m, a, b)
+    return DualityResult(lhs=result.lhs, rhs=result.rhs, equal=result.equal)
 
 
 @dataclass(frozen=True)
@@ -310,7 +294,6 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     The closed form is computed on every split: it is the determinant of the
     unsplit product, which the split does not change.
     """
-    _validate_cell(rp, k, len(sf.all_forms))
     direct = det_direct(rp, k, sf.all_forms)
     expansion = det_schur_expansion(rp, k, sf)
     closed = det_closed_form(rp, k, sf.all_forms)

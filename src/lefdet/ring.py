@@ -24,6 +24,13 @@ from .mpoly import MultiPoly
 from .symfunc import HomogPair, _homog_table
 
 
+def _require_int(name: str, *values) -> None:
+    # exactly int: bool is an int subclass, and a float degree is inexact input
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{name} {v!r} is not an int")
+
+
 @dataclass(frozen=True)
 class RingParams:
     """Exponent parameters d >= q >= 1; the socle degree is d + q."""
@@ -32,6 +39,7 @@ class RingParams:
     q: int
 
     def __post_init__(self):
+        _require_int("exponent", self.d, self.q)
         if not self.d >= self.q >= 1:
             raise ValueError(f"need d >= q >= 1, got d={self.d}, q={self.q}")
 
@@ -57,6 +65,7 @@ class SwappedParams:
     q: int
 
     def __post_init__(self):
+        _require_int("exponent", self.d, self.q)
         if not (self.d >= 1 and self.q >= 1):
             raise ValueError(f"need d, q >= 1, got d={self.d}, q={self.q}")
 
@@ -163,6 +172,20 @@ def mult_matrix_block(rp: RingParams, forms, k: int) -> ExactMatrix:
     return ExactMatrix(len(tgt), len(src), entries)
 
 
+def check_cell(rp: RingParams, k: int, nforms: int) -> None:
+    """The cell rule: multiplication by ``nforms`` linear forms on degree k is
+    a square map exactly when k is an int, 0 <= k <= (d+q)/2 and
+    nforms = d+q-2k; any other (k, nforms) raises ``ValueError``."""
+    _require_int("degree", k)
+    n = rp.socle - 2 * k
+    if k < 0 or n < 0:
+        raise ValueError(f"need 0 <= k <= {rp.socle // 2}, got k={k}")
+    if nforms != n:
+        raise ValueError(
+            f"non-square multiplication map: need {n} forms for k={k}, got {nforms}"
+        )
+
+
 def det_direct(rp: RingParams, k: int, forms):
     """Brute-force determinant of multiplication by d+q-2k linear forms on degree k.
 
@@ -177,13 +200,7 @@ def det_direct(rp: RingParams, k: int, forms):
     generic path.
     """
     forms = tuple(forms)
-    n = rp.socle - 2 * k
-    if k < 0 or n < 0:
-        raise ValueError(f"need 0 <= k <= {rp.socle // 2}, got k={k}")
-    if len(forms) != n:
-        raise ValueError(
-            f"non-square multiplication map: need {n} forms for k={k}, got {len(forms)}"
-        )
+    check_cell(rp, k, len(forms))
     if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
         return det(mult_matrix_block(rp, forms, k))
     scale = Fraction(1)

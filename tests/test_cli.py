@@ -110,6 +110,16 @@ def test_det_empty_forms_at_top_k(capsys):
     assert code == 0 and doc["det"] == "1"
 
 
+@pytest.mark.parametrize("method", ["direct", "closed"])
+def test_det_split_only_for_the_expansion(capsys, method):
+    # --u splits the expansion; the other methods must not accept and ignore it
+    code, doc = run_json(
+        capsys, "det", "--d", "2", "--q", "2", "--k", "1", "--forms", "2,1;1,3",
+        "--method", method, "--u", "7",
+    )
+    assert code == 2 and "--u" in doc["error"]
+
+
 def test_det_malformed_forms_exit_2(capsys):
     code, doc = run_json(
         capsys, "det", "--d", "2", "--q", "2", "--k", "1", "--forms", "oops"
@@ -186,6 +196,22 @@ def test_duality_complement_identity(capsys):
         "--x", "1,3", "--y", "2,5",
     )
     assert code == 0 and doc["equal"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["duality", "--r", "1", "--m", "1", "--a", "1,2", "--b", "3,4", "--x", "1,1"],
+        ["duality", "--r", "1", "--m", "1", "--a", "1,2", "--b", "3,4", "--n", "2"],
+        ["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1",
+         "--y", "1,2", "--m", "1"],
+        ["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1",
+         "--y", "1,2", "--b", "3,4"],
+    ],
+)
+def test_duality_rejects_the_other_identitys_flags(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and "do not apply" in doc["error"]
 
 
 # --- verify / sweep / report -------------------------------------------------
@@ -367,6 +393,9 @@ def test_arithmetic_fault_is_an_error_document_not_a_mismatch(capsys, monkeypatc
         ["verify", "--k", "99", "--dmax", "3"],
         ["sweep", "--q", "2"],
         ["verify", "--u", "0", "--dmax", "2"],
+        ["verify", "--d", "2", "--q", "1", "--dmax", "99", "--trials", "1"],
+        ["sweep", "--d", "2", "--q", "2", "--k", "1", "--dmax", "6"],
+        ["verify", "--d", "-5", "--q", "1"],
     ],
 )
 def test_vacuous_sweeps_are_usage_errors(capsys, argv):
@@ -423,13 +452,17 @@ GOLDEN = [
          "--forms=3,-1/2;0,5;-7/4,2;6,0;1/3,-9/7;-2,-3;5/6,1;4,-11/10"],
         0, "5c62e27eeecd9546f78fef874b0fe200dbb1f6205359ccd5dbadd529cd24b39e",
     ),
+    (
+        ["duality", "--r", "2", "--m", "2", "--a", "1,2,-3,5/2", "--b", "3,4,1/7,-2"],
+        0, "ea8b2f28c068bd4ba8ef1f27f0bfd656c0bf48fbf84eef2d9c7ab6e28f19125c",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,code,digest", GOLDEN,
     ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion",
-         "slp-rational", "slp-zero-dets", "det-direct-mixed"],
+         "slp-rational", "slp-zero-dets", "det-direct-mixed", "duality"],
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)

@@ -211,6 +211,25 @@ def test_closed_form_size_validation():
         det_closed_form(RingParams(2, 2), 1, [F(1, 1)])
 
 
+@pytest.mark.parametrize("k,nforms", [(1, 1), (1, 3), (3, 0), (-1, 6), (1.0, 2), (True, 2)])
+def test_every_route_raises_the_one_cell_rule(k, nforms):
+    # one rule, one message: the routes defer to ring.check_cell, as det_direct does
+    rp = RingParams(2, 2)
+    forms = [F(1, 1)] * nforms
+    with pytest.raises(ValueError) as direct:
+        det_direct(rp, k, forms)
+    routes = (
+        lambda: det_closed_form(rp, k, forms),
+        lambda: det_schur_expansion(rp, k, SplitForms.split(forms, 0)),
+        lambda: det_literal_cases(rp, k, SplitForms.split(forms, 0)),
+        lambda: discrepancy_report(rp, k, SplitForms.split(forms, 0)),
+    )
+    for route in routes:
+        with pytest.raises(ValueError) as err:
+            route()
+        assert str(err.value) == str(direct.value)
+
+
 # --- literal case audit ------------------------------------------------------
 
 

@@ -76,6 +76,15 @@ def test_swapped_twin_is_its_own_type():
             SwappedParams(d, q)
 
 
+def test_exponents_must_be_ints():
+    # inexact or non-integral degrees are rejected at the boundary; bool is an
+    # int subclass, so it needs a case of its own
+    for d, q in ((2.0, 1), (2, 1.0), (Fraction(2), 1), (True, True), (2, True)):
+        for params in (RingParams, SwappedParams):
+            with pytest.raises(ValueError, match="not an int"):
+                params(d, q)
+
+
 def test_linear_form_must_be_nonzero():
     with pytest.raises(ValueError):
         LinearForm(0, Fraction(0))
