@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, enumerate_in_rectangle, rectangle
 from .ring import LinearForm, RingParams, check_cell, det_direct, dim
 from .symfunc import HomogPair, schur, schur_homog
@@ -56,6 +57,7 @@ class SplitForms:
     @classmethod
     def split(cls, forms, u: int) -> "SplitForms":
         forms = tuple(forms)
+        require_int("split point", u)
         if not 0 <= u <= len(forms):
             raise ValueError(f"split point {u} outside 0..{len(forms)}")
         return cls(check=forms[:u], hat=forms[u:])
@@ -144,13 +146,6 @@ class LiteralCase:
     skipped_terms: int
 
 
-def _product(values):
-    out = 1
-    for v in values:
-        out = out * v
-    return out
-
-
 def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCase]:
     """Audit-only evaluation of the four per-case ratio formulas.
 
@@ -168,8 +163,8 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     d, q = rp.d, rp.q
     u = sf.u
     v = len(sf.hat)
-    beta_check = _product(f.b for f in sf.check)
-    alpha_hat = _product(f.a for f in sf.hat)
+    beta_check = prod(f.b for f in sf.check)
+    alpha_hat = prod(f.a for f in sf.hat)
     if beta_check == 0 or alpha_hat == 0:
         raise ValueError("literal case formula undefined: a group product vanishes")
     check_pair = sf.check_pair()
@@ -210,14 +205,7 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     return cases
 
 
-@dataclass(frozen=True)
-class DualityResult:
-    lhs: object
-    rhs: object
-    equal: bool
-
-
-def duality_check(r: int, m: int, a, b) -> DualityResult:
+def duality_check(r: int, m: int, a, b) -> ComplementIdentityResult:
     """(prod b)^r s_{(r^m)}(a/b) against (prod a)^r s_{(r^m)}(b/a).
 
     The rectangle (r^m) is its own complement in the r-column, 2m-row box, so
@@ -226,8 +214,7 @@ def duality_check(r: int, m: int, a, b) -> DualityResult:
     """
     if r < 1 or m < 1:
         raise ValueError("need r >= 1 and m >= 1")
-    result = complement_identity_check(rectangle(r, m), r, 2 * m, a, b)
-    return DualityResult(lhs=result.lhs, rhs=result.rhs, equal=result.equal)
+    return complement_identity_check(rectangle(r, m), r, 2 * m, a, b)
 
 
 @dataclass(frozen=True)
@@ -248,15 +235,15 @@ def complement_identity_check(
     """
     if r < 1 or n < 1:
         raise ValueError("need r >= 1 and n >= 1")
-    x = tuple(Fraction(v) for v in x)
-    y = tuple(Fraction(v) for v in y)
+    x, y = tuple(x), tuple(y)
+    require_rational("value", *x, *y)
     if len(x) != n or len(y) != n:
         raise ValueError(f"need exactly n = {n} entries on each side")
     if any(v == 0 for v in x) or any(v == 0 for v in y):
         raise ValueError("ratio vectors need nonzero entries")
     mu = lam.complement(r, n)
-    lhs = _product(y) ** r * schur(lam, [xi / yi for xi, yi in zip(x, y)])
-    rhs = _product(x) ** r * schur(mu, [yi / xi for xi, yi in zip(x, y)])
+    lhs = prod(y) ** r * schur(lam, [Fraction(xi, yi) for xi, yi in zip(x, y)])
+    rhs = prod(x) ** r * schur(mu, [Fraction(yi, xi) for xi, yi in zip(x, y)])
     return ComplementIdentityResult(mu=mu, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 

@@ -5,8 +5,9 @@ Bareiss elimination (rational entries, taken to a primitive integer matrix by
 clearing each row's denominators and dividing out every row's and column's
 content; every intermediate division is checked exact) and memoized Laplace
 expansion (any exact coefficient ring, and the small-size cross-check for
-Bareiss).  ``det`` picks Bareiss when all entries are rational, Laplace when
-some are ``MultiPoly``, and rejects anything else.
+Bareiss).  ``det`` picks Laplace when some entry is a ``MultiPoly`` and
+Bareiss otherwise; each route checks its own entries with the ``mpoly``
+exactness rule.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, require_exact, require_rational
 
 
 class ExactMatrix:
@@ -106,8 +107,8 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     multiplied back in at the end; a zero row or column gives 0 at once.
     The integer Bareiss recurrence runs on what is left with first-nonzero
     pivoting and sign tracking, and every interior division is checked
-    remainder-free (``ArithmeticError`` otherwise).  Any other entry type is
-    a ``ValueError``.
+    remainder-free (``ArithmeticError`` otherwise).  Any other entry type,
+    ``bool`` included, is a ``ValueError``.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -119,8 +120,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     a: list[list[int]] = []
     for r in range(n):
         row = m.row(r)
-        if not all(isinstance(x, (int, Fraction)) for x in row):
-            raise ValueError("Bareiss elimination needs int or Fraction entries")
+        require_rational("matrix entry", *row)
         den = lcm(*(x.denominator for x in row))
         scale *= den
         ints = [x.numerator * (den // x.denominator) for x in row]
@@ -162,9 +162,10 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
 
 
 def det_laplace(m: ExactMatrix):
-    """Cofactor expansion over any exact ring, memoized on column subsets."""
+    """Cofactor expansion over any exact ring (checked), memoized on column subsets."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
+    require_exact("matrix entry", *m.entries)
     n = m.rows
     if n == 0:
         return 1
@@ -193,21 +194,13 @@ def det_laplace(m: ExactMatrix):
 
 
 def det(m: ExactMatrix):
-    """Exact determinant; Bareiss over rationals, Laplace over ``MultiPoly``.
+    """Exact determinant; Laplace over ``MultiPoly``, Bareiss otherwise.
 
-    Any entry that is not ``int``, ``Fraction`` or ``MultiPoly`` (a ``float``
-    included) is a ``ValueError``.
+    Only dispatches: the chosen route rejects an inexact entry (a ``float``
+    or a ``bool``) with a ``ValueError``.
     """
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if all(isinstance(e, (int, Fraction)) for e in m.entries):
-        return det_bareiss(m)
-    for e in m.entries:
-        if not isinstance(e, (int, Fraction, MultiPoly)):
-            raise ValueError(
-                f"matrix entry {e!r} is not exact: need int, Fraction or MultiPoly"
-            )
-    return det_laplace(m)
+    route = det_laplace if any(isinstance(e, MultiPoly) for e in m.entries) else det_bareiss
+    return route(m)
 
 
 def _check_index_set(indices, bound: int, what: str) -> tuple[int, ...]:

@@ -17,6 +17,10 @@ would exceed ``MAX_EXPONENT`` raises ``OverflowError`` instead of carrying
 into the neighbouring field.  A coefficient is an ``int`` when it is integral
 and a ``Fraction`` otherwise, and zero coefficients are never stored.  The
 ``terms`` property is a read-only ``{exponent tuple: Fraction}`` view.
+
+The ``require_*`` helpers below are the package's one exactness rule, called at
+every public entry point.  Types match exactly, so ``bool`` never passes: an
+integer is ``int``, a rational ``int`` or ``Fraction``, a ring element either or ``MultiPoly``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,27 @@ from fractions import Fraction
 
 FIELD = 32
 MAX_EXPONENT = (1 << FIELD) - 1
+
+
+def require_int(what: str, *values) -> None:
+    """Raise ``ValueError`` unless every value is exactly an ``int``."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} {v!r} is not an int")
+
+
+def require_rational(what: str, *values) -> None:
+    """Raise ``ValueError`` unless every value is an ``int`` or a ``Fraction``."""
+    for v in values:
+        if type(v) is not int and type(v) is not Fraction:
+            raise ValueError(f"{what} {v!r} is not exact: need int or Fraction")
+
+
+def require_exact(what: str, *values) -> None:
+    """Raise ``ValueError`` unless every value is an ``int``, ``Fraction`` or ``MultiPoly``."""
+    for v in values:
+        if type(v) not in (int, Fraction, MultiPoly):
+            raise ValueError(f"{what} {v!r} is not exact: need int, Fraction or MultiPoly")
 
 
 def _settle(c):
@@ -61,7 +86,7 @@ class MultiPoly:
     __slots__ = ("arity", "_terms", "_top")
 
     def __init__(self, arity: int, terms=None):
-        arity = int(arity)
+        require_int("arity", arity)
         if arity < 0:
             raise ValueError("arity must be nonnegative")
         clean: dict[int, object] = {}
@@ -69,7 +94,9 @@ class MultiPoly:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for expo, coeff in items:
-                expo = tuple(int(e) for e in expo)
+                expo = tuple(expo)
+                require_int("exponent", *expo)
+                require_rational("coefficient", coeff)
                 if len(expo) != arity:
                     raise ValueError(
                         f"exponent vector {expo} does not match arity {arity}"
@@ -82,7 +109,7 @@ class MultiPoly:
                         f"the largest a {FIELD}-bit field holds"
                     )
                 key = _pack(expo)
-                c = clean.get(key, 0) + Fraction(coeff)
+                c = clean.get(key, 0) + coeff
                 if c:
                     clean[key] = c
                     top = max(top, max(expo, default=0))
@@ -98,6 +125,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, arity: int, index: int) -> "MultiPoly":
+        require_int("variable index", index)
         if not 0 <= index < arity:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
         expo = tuple(1 if i == index else 0 for i in range(arity))
@@ -191,6 +219,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        require_int("power", n)
         if n < 0:
             raise ValueError("negative powers are not defined")
         result = MultiPoly.constant(self.arity, 1)
@@ -218,7 +247,8 @@ class MultiPoly:
 
     def eval(self, point) -> Fraction:
         """Substitute a rational value for every variable."""
-        point = tuple(Fraction(v) for v in point)
+        point = tuple(point)
+        require_rational("point entry", *point)
         if len(point) != self.arity:
             raise ValueError(
                 f"point of length {len(point)} does not match arity {self.arity}"

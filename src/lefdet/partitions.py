@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+from .mpoly import require_int
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers; ``Partition()`` is empty.
 
     Trailing zeros are trimmed on construction, so equality and hashing are
     structural.  Instances are immutable by convention.  Text form is
-    ``[3,1]`` with ``[]`` for the empty partition.
+    ``[3,1]`` with ``[]`` for the empty partition.  A non-``int`` part raises.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        require_int("part", *parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
@@ -103,6 +106,7 @@ class Partition:
 
 def rectangle(r: int, l: int) -> Partition:
     """The partition made of l copies of r."""
+    require_int("rectangle side", r, l)
     return Partition((r,) * l)
 
 
@@ -112,6 +116,7 @@ def enumerate_in_rectangle(r: int, l: int) -> list[Partition]:
     Order is descending lexicographic on the zero-padded part sequences, so
     output is byte-stable across runs.
     """
+    require_int("rectangle side", r, l)
     if r < 0 or l < 0:
         raise ValueError("rectangle sides must be nonnegative")
     out: list[Partition] = []

@@ -20,15 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import ExactMatrix, det
-from .mpoly import MultiPoly
+from .mpoly import require_exact, require_int
 from .symfunc import HomogPair, _homog_table
-
-
-def _require_int(name: str, *values) -> None:
-    # exactly int: bool is an int subclass, and a float degree is inexact input
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{name} {v!r} is not an int")
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,7 @@ class RingParams:
     q: int
 
     def __post_init__(self):
-        _require_int("exponent", self.d, self.q)
+        require_int("exponent", self.d, self.q)
         if not self.d >= self.q >= 1:
             raise ValueError(f"need d >= q >= 1, got d={self.d}, q={self.q}")
 
@@ -65,7 +58,7 @@ class SwappedParams:
     q: int
 
     def __post_init__(self):
-        _require_int("exponent", self.d, self.q)
+        require_int("exponent", self.d, self.q)
         if not (self.d >= 1 and self.q >= 1):
             raise ValueError(f"need d, q >= 1, got d={self.d}, q={self.q}")
 
@@ -82,12 +75,7 @@ class LinearForm:
     b: object
 
     def __post_init__(self):
-        for coeff in (self.a, self.b):
-            if not isinstance(coeff, (int, Fraction, MultiPoly)):
-                raise ValueError(
-                    f"form coefficient {coeff!r} is not exact: "
-                    "need int, Fraction or MultiPoly"
-                )
+        require_exact("form coefficient", self.a, self.b)
         if self.a == 0 and self.b == 0:
             raise ValueError("linear form must be nonzero")
 
@@ -107,6 +95,7 @@ class GradedBasis:
 
 def basis(rp: RingParams, k: int) -> GradedBasis:
     """Monomials x^i y^(k-i) with 0 <= i <= d and 0 <= k-i <= q, x-degree descending."""
+    require_int("degree", k)
     if not 0 <= k <= rp.socle:
         raise ValueError(f"degree {k} outside 0..{rp.socle}")
     top = min(rp.d, k)
@@ -116,6 +105,7 @@ def basis(rp: RingParams, k: int) -> GradedBasis:
 
 def dim(rp: RingParams, k: int) -> int:
     """Dimension of the degree-k component; 0 outside 0..d+q."""
+    require_int("degree", k)
     if not 0 <= k <= rp.socle:
         return 0
     return min(rp.d, k) - max(0, k - rp.q) + 1
@@ -176,7 +166,7 @@ def check_cell(rp: RingParams, k: int, nforms: int) -> None:
     """The cell rule: multiplication by ``nforms`` linear forms on degree k is
     a square map exactly when k is an int, 0 <= k <= (d+q)/2 and
     nforms = d+q-2k; any other (k, nforms) raises ``ValueError``."""
-    _require_int("degree", k)
+    require_int("degree", k)
     n = rp.socle - 2 * k
     if k < 0 or n < 0:
         raise ValueError(f"need 0 <= k <= {rp.socle // 2}, got k={k}")

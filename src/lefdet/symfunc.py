@@ -16,6 +16,8 @@ ratio vector a/b.  E_k(a; b) sums, over k-subsets S, the product of a over S
 times the product of b off S, so E_k(a; b) = (prod b) * e_k(a/b) whenever no
 b entry vanishes; the determinant variants carry the matching power of
 prod b.  They are polynomial in a and b, hence defined with zero entries too.
+``elementary`` and ``schur_jacobi_trudi`` run on the same kernel at the pair
+(values; 1, ..., 1), since E_k(a; 1) = e_k(a), and share its exactness check.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import ExactMatrix, det
+from .mpoly import require_exact, require_int, require_rational
 from .partitions import Partition
 
 
@@ -37,6 +40,7 @@ class HomogPair:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
+        require_exact("coefficient", *self.a, *self.b)
         if len(self.a) != len(self.b):
             raise ValueError(
                 f"paired lists must have equal length, got {len(self.a)} and {len(self.b)}"
@@ -44,24 +48,6 @@ class HomogPair:
 
     def __len__(self):
         return len(self.a)
-
-
-def _elem_table(values: tuple) -> list:
-    """[e_0, e_1, ..., e_n] for the given values, over any exact ring."""
-    e: list = [1]
-    for x in values:
-        e.append(0)
-        for j in range(len(e) - 1, 0, -1):
-            e[j] = e[j] + x * e[j - 1]
-    return e
-
-
-def elementary(k: int, values):
-    """The k-th elementary symmetric value; 0 outside 0..len(values)."""
-    values = tuple(values)
-    if k < 0 or k > len(values):
-        return 0
-    return _elem_table(values)[k]
 
 
 def _homog_table(pair: HomogPair) -> list:
@@ -75,21 +61,34 @@ def _homog_table(pair: HomogPair) -> list:
     return table
 
 
+def _unit_pair(values) -> HomogPair:
+    """The pair (values; 1, ..., 1), whose E_k are the e_k of the values."""
+    values = tuple(values)
+    return HomogPair(values, (1,) * len(values))
+
+
 def elementary_homog(k: int, pair: HomogPair):
     """E_k(a; b); 0 outside 0..len(pair), prod(b) at k = 0."""
+    require_int("degree", k)
     if k < 0 or k > len(pair):
         return 0
     return _homog_table(pair)[k]
 
 
-def _jt_det(table: list, nvalues: int, parts: tuple[int, ...]):
-    """det(T[parts_i + j - i]) over the given table, 0 outside 0..nvalues."""
+def elementary(k: int, values):
+    """The k-th elementary symmetric value; 0 outside 0..len(values)."""
+    return elementary_homog(k, _unit_pair(values))
+
+
+def _jt_det(table: list, parts: tuple[int, ...]):
+    """det(T[parts_i + j - i]) over the given table, 0 past either end of it."""
     size = len(parts)
     if size == 0:
         return 1
+    top = len(table)
 
     def at(k: int):
-        return table[k] if 0 <= k <= nvalues else 0
+        return table[k] if 0 <= k < top else 0
 
     entries = [at(parts[i] + j - i) for i in range(size) for j in range(size)]
     return det(ExactMatrix(size, size, entries))
@@ -97,10 +96,7 @@ def _jt_det(table: list, nvalues: int, parts: tuple[int, ...]):
 
 def schur_jacobi_trudi(lam: Partition, values):
     """det(e_{lam_i + j - i}(values)); this is the Schur value of conjugate(lam)."""
-    values = tuple(values)
-    if len(lam) == 0:
-        return 1
-    return _jt_det(_elem_table(values), len(values), lam.parts)
+    return _jt_det(_homog_table(_unit_pair(values)), lam.parts)
 
 
 def schur(lam: Partition, values):
@@ -116,16 +112,16 @@ def schur_homog(lam: Partition, pair: HomogPair, rows: int | None = None):
     per row, which is why the row count is explicit.
     """
     size = len(lam) if rows is None else rows
+    require_int("rows", size)
     if size < len(lam):
         raise ValueError(f"rows={rows} cannot hold {len(lam)} parts")
-    if size == 0:
-        return 1
-    return _jt_det(_homog_table(pair), len(pair), lam.padded(size))
+    return _jt_det(_homog_table(pair), lam.padded(size))
 
 
 def schur_bialternant(lam: Partition, values) -> Fraction:
     """Ratio of alternants; needs pairwise distinct values and enough of them."""
-    values = tuple(Fraction(v) for v in values)
+    values = tuple(values)
+    require_rational("value", *values)
     n = len(values)
     if len(lam) > n:
         raise ValueError(
@@ -154,6 +150,7 @@ def schur_tableaux(lam: Partition, values):
     tableau count explodes.
     """
     values = tuple(values)
+    require_exact("value", *values)
     n = len(values)
     if lam.weight > 10 or n > 5:
         raise ValueError(

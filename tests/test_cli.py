@@ -403,10 +403,9 @@ def test_vacuous_sweeps_are_usage_errors(capsys, argv):
     assert code == 2 and "error" in doc
 
 
-def test_threads_flag_is_accepted_and_ignored(capsys, monkeypatch):
+def test_threads_flag_is_accepted_and_ignored(capsys):
     args = ["sweep", "--dmax", "3", "--trials", "1", "--seed", "4"]
     _, plain = run(capsys, *args)
-    monkeypatch.setenv("LEFDET_THREADS", "abc")
     for extra in ([], ["--threads", "3"]):
         code, out = run(capsys, *args, *extra)
         assert code == 0 and out == plain
@@ -456,13 +455,22 @@ GOLDEN = [
         ["duality", "--r", "2", "--m", "2", "--a", "1,2,-3,5/2", "--b", "3,4,1/7,-2"],
         0, "ea8b2f28c068bd4ba8ef1f27f0bfd656c0bf48fbf84eef2d9c7ab6e28f19125c",
     ),
+    (
+        ["schur", "--partition", "[2,1]", "--values", "1/2,-3,5"],
+        0, "89657f9066ecf6d70289152a1c64c09ebce63f679d0b3d073dfac331a4cc0568",
+    ),
+    (
+        ["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],
+        0, "f82f0e5788882693e242fb6f24125ca0005fbef26e3d82fe5d6e5ca5c128de69",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,code,digest", GOLDEN,
     ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion",
-         "slp-rational", "slp-zero-dets", "det-direct-mixed", "duality"],
+         "slp-rational", "slp-zero-dets", "det-direct-mixed", "duality", "schur",
+         "duality-complement"],
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)

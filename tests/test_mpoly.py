@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import lefdet
 from lefdet.formulas import SplitForms, det_closed_form, det_schur_expansion, symbolic_forms
 from lefdet.mpoly import FIELD, MAX_EXPONENT, MultiPoly, render
 from lefdet.ring import RingParams, det_direct
@@ -248,3 +250,101 @@ def test_symbolic_determinants_match_golden_digests(cell):
 def test_readme_symbolic_example_renders_unchanged():
     forms, names = symbolic_forms(2)
     assert render(det_direct(RingParams(4, 2), 2, forms), names) == "a1^3*a2^3"
+
+
+# --- the one exactness rule, at every public entry point ---------------------
+
+# rule -> (message every rejection carries, bad values as source text); an
+# integer boundary also rejects an integral Fraction, so nothing is truncated
+EXACTNESS_RULES = {
+    "int": ("not an int", ("1.5", "True", "Fraction(1)")),
+    "rational": ("not exact: need int or Fraction", ("0.5", "True")),
+    "exact": ("not exact", ("0.5", "True")),
+}
+
+# boundary -> (rule, a call with the bad value v)
+EXACTNESS_BOUNDARIES = {
+    "Partition": ("int", "Partition([2, v])"),
+    "rectangle-width": ("int", "rectangle(v, 2)"),
+    "rectangle-height": ("int", "rectangle(2, v)"),
+    "enumerate_in_rectangle": ("int", "enumerate_in_rectangle(v, 2)"),
+    "MultiPoly-arity": ("int", "MultiPoly(v)"),
+    "MultiPoly-exponent": ("int", "MultiPoly(1, {(v,): 1})"),
+    "MultiPoly-coefficient": ("rational", "MultiPoly(1, {(1,): v})"),
+    "MultiPoly.variable": ("int", "MultiPoly.variable(2, v)"),
+    "MultiPoly-power": ("int", "MultiPoly.variable(1, 0) ** v"),
+    "MultiPoly.eval": ("rational", "MultiPoly.variable(1, 0).eval([v])"),
+    "RingParams": ("int", "RingParams(3, v)"),
+    "dim": ("int", "dim(RingParams(2, 2), v)"),
+    "basis": ("int", "basis(RingParams(2, 2), v)"),
+    "mult_matrix": ("int", "mult_matrix(RingParams(2, 2), LinearForm(1, 1), v)"),
+    "LinearForm": ("exact", "LinearForm(v, 1)"),
+    "SplitForms.split": ("int", "SplitForms.split([LinearForm(1, 1)] * 2, v)"),
+    "HomogPair": ("exact", "HomogPair((v, 2), (1, 1))"),
+    "elementary_homog-degree": ("int", "elementary_homog(v, HomogPair((1, 2), (1, 1)))"),
+    "elementary": ("exact", "elementary(1, [v, 2])"),
+    "schur_jacobi_trudi": ("exact", "schur_jacobi_trudi(Partition([1]), [v, 2])"),
+    "schur_homog-rows": ("int", "schur_homog(Partition([1]), HomogPair((1,), (1,)), rows=v)"),
+    "schur_tableaux": ("exact", "schur_tableaux(Partition([1]), [v, 2])"),
+    "schur_bialternant": ("rational", "schur_bialternant(Partition([1]), [v, 2])"),
+    "complement_identity_check":
+        ("rational", "complement_identity_check(Partition([1]), 2, 2, [v, 1], [1, 2])"),
+    "duality_check": ("rational", "duality_check(1, 1, [v, 2], [3, 4])"),
+    "det": ("rational", "det(ExactMatrix(1, 1, [v]))"),
+    "det-symbolic": ("exact", "det(ExactMatrix(2, 2, [MultiPoly.variable(1, 0), v, 1, 1]))"),
+    "det_bareiss": ("rational", "det_bareiss(ExactMatrix(1, 1, [v]))"),
+    "det_laplace": ("exact", "det_laplace(ExactMatrix(1, 1, [v]))"),
+}
+
+HELPERS = ("require_int", "require_rational", "require_exact")
+
+# Evaluates every case; prints one line per case that is not rejected by a
+# ValueError with the rule's message, raised inside an mpoly helper.
+EXACTNESS_SCRIPT = """
+import json, sys, traceback
+from fractions import Fraction
+import lefdet
+rules, boundaries, helpers = json.loads(sys.argv[1])
+for name, (rule, call) in boundaries.items():
+    message, bad = rules[rule]
+    for text in bad:
+        try:
+            got = eval(call, {**vars(lefdet), "Fraction": Fraction, "v": eval(text)})
+        except ValueError as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            if message in str(exc) and frame.name in helpers:
+                continue
+            got = f"{exc!r} from {frame.name}"
+        except Exception as exc:
+            got = repr(exc)
+        print(f"{name} at {text}: {got!r}")
+"""
+
+
+def _exactness_run(boundaries, *flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(lefdet.__file__).resolve().parents[1]))
+    payload = json.dumps([EXACTNESS_RULES, boundaries, HELPERS])
+    run = subprocess.run([sys.executable, *flags, "-c", EXACTNESS_SCRIPT, payload],
+                         capture_output=True, text=True, env=env, check=True)
+    return run.stdout.splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(EXACTNESS_BOUNDARIES))
+def test_every_boundary_rejects_inexact_input_from_the_one_rule(name):
+    rule, call = EXACTNESS_BOUNDARIES[name]
+    message, bad = EXACTNESS_RULES[rule]
+    for text in bad:
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            eval(call, {**vars(lefdet), "Fraction": Fraction, "v": eval(text)})
+        assert exc.traceback[-1].name in HELPERS, (name, text)
+
+
+def test_every_boundary_rejects_inexact_input_under_optimize():
+    assert _exactness_run(EXACTNESS_BOUNDARIES, "-O") == []
+
+
+def test_exactness_script_reports_a_boundary_that_accepts_floats():
+    # the subprocess check is not vacuous: an unchecked call is reported
+    assert _exactness_run({"abs": ("exact", "abs(v)")}) == [
+        "abs at 0.5: 0.5", "abs at True: 1"
+    ]
