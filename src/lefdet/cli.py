@@ -339,6 +339,9 @@ def cmd_slp(args) -> tuple[dict, int]:
 def cmd_schur(args) -> tuple[dict, int]:
     lam = Partition.from_text(args.partition)
     values = parse_values(args.values)
+    if not values:
+        raise ValueError("schur needs at least one value: over none, every evaluator "
+                         "returns its convention (1 or 0) and compares nothing")
     doc = {
         "schema": SCHEMA,
         "command": "schur",
@@ -352,8 +355,12 @@ def cmd_schur(args) -> tuple[dict, int]:
         except ValueError as exc:
             results[key] = None
             doc[f"{key}_error"] = str(exc)
-    doc.update(results)
     computed = [v for v in results.values() if v is not None]
+    if len(computed) < 2:
+        raise ValueError("schur needs two defined evaluators to compare, got one; "
+                         + "; ".join(f"{key}: {doc[key + '_error']}" for key in results
+                                     if results[key] is None))
+    doc.update(results)
     doc["agree"] = len(set(computed)) == 1
     return doc, EXIT_OK if doc["agree"] else EXIT_MISMATCH
 

@@ -14,28 +14,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
-from .mpoly import MultiPoly, require_exact, require_rational
+from .mpoly import MultiPoly, require_exact, require_int, require_rational
 
 
+@dataclass(frozen=True, slots=True)
 class ExactMatrix:
-    """Row-major dense matrix over an exact commutative ring."""
+    """Row-major dense matrix over an exact commutative ring; frozen."""
 
-    __slots__ = ("rows", "cols", "entries")
+    rows: int
+    cols: int
+    entries: tuple
 
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if rows < 0 or cols < 0:
+    def __post_init__(self):
+        entries = tuple(self.entries)
+        require_int("matrix size", self.rows, self.cols)
+        if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != rows * cols:
+        if len(entries) != self.rows * self.cols:
             raise ValueError(
-                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
+                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
+                f"got {len(entries)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows_data) -> "ExactMatrix":
@@ -79,18 +83,6 @@ class ExactMatrix:
             for c in range(other.cols):
                 entries.append(sum(row[i] * other[i, c] for i in range(self.cols)))
         return ExactMatrix(self.rows, other.cols, entries)
-
-    def __eq__(self, other):
-        if isinstance(other, ExactMatrix):
-            return (
-                self.rows == other.rows
-                and self.cols == other.cols
-                and self.entries == other.entries
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(
@@ -169,14 +161,11 @@ def det_laplace(m: ExactMatrix):
     n = m.rows
     if n == 0:
         return 1
-    memo: dict[int, object] = {}
 
+    @cache
     def rec(r: int, mask: int):
         if r == n:
             return 1
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
         total = 0
         sign = 1
         for c in range(n):
@@ -187,7 +176,6 @@ def det_laplace(m: ExactMatrix):
             if e != 0:
                 total = total + sign * e * rec(r + 1, mask & ~bit)
             sign = -sign
-        memo[mask] = total
         return total
 
     return rec(0, (1 << n) - 1)

@@ -289,7 +289,7 @@ class TermView(Mapping):
 
     def __getitem__(self, expo):
         if len(expo) != self._poly.arity or not all(
-            0 <= e <= MAX_EXPONENT for e in expo
+            type(e) is int and 0 <= e <= MAX_EXPONENT for e in expo
         ):
             raise KeyError(expo)
         return Fraction(self._poly._terms[_pack(expo)])

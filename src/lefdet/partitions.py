@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import combinations_with_replacement
+
 from .mpoly import require_int
 
 
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A weakly decreasing tuple of positive integers; ``Partition()`` is empty.
 
     Trailing zeros are trimmed on construction, so equality and hashing are
-    structural.  Instances are immutable by convention.  Text form is
-    ``[3,1]`` with ``[]`` for the empty partition.  A non-``int`` part raises.
+    structural.  Instances are frozen.  Text form is ``[3,1]`` with ``[]`` for
+    the empty partition.  A non-``int`` part raises.
     """
 
-    __slots__ = ("parts",)
+    parts: tuple = ()
 
-    def __init__(self, parts=()):
-        parts = tuple(parts)
+    def __post_init__(self):
+        parts = tuple(self.parts)
         require_int("part", *parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
@@ -25,7 +29,7 @@ class Partition:
             raise ValueError(f"parts must be nonnegative, got {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        self.parts = parts
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -47,6 +51,7 @@ class Partition:
         return self.parts[i] if 0 <= i < len(self.parts) else 0
 
     def padded(self, length: int) -> tuple[int, ...]:
+        require_int("pad length", length)
         if length < len(self.parts):
             raise ValueError(f"cannot pad {self} to length {length}")
         return self.parts + (0,) * (length - len(self.parts))
@@ -76,14 +81,6 @@ class Partition:
             raise ValueError(f"{self} does not fit in the rectangle ({r}^{l})")
         padded = self.padded(l)
         return Partition(r - padded[l - 1 - i] for i in range(l))
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __len__(self):
         return len(self.parts)
@@ -119,16 +116,4 @@ def enumerate_in_rectangle(r: int, l: int) -> list[Partition]:
     require_int("rectangle side", r, l)
     if r < 0 or l < 0:
         raise ValueError("rectangle sides must be nonnegative")
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], bound: int, rows_left: int) -> None:
-        if rows_left == 0:
-            out.append(Partition(prefix))
-            return
-        for p in range(bound, -1, -1):
-            prefix.append(p)
-            rec(prefix, p, rows_left - 1)
-            prefix.pop()
-
-    rec([], r, l)
-    return out
+    return [Partition(c) for c in combinations_with_replacement(range(r, -1, -1), l)]

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .linalg import ExactMatrix, det
 from .mpoly import require_exact, require_int, require_rational
@@ -164,32 +165,18 @@ def schur_tableaux(lam: Partition, values):
 
     shape = lam.parts
 
-    def row_fillings(length: int, above: tuple[int, ...] | None):
-        # weakly increasing along the row, strictly below the row above
-        row = [0] * length
-
-        def fill(c: int):
-            if c == length:
-                yield tuple(row)
-                return
-            lo = row[c - 1] if c > 0 else 0
-            if above is not None:
-                lo = max(lo, above[c] + 1)
-            for v in range(lo, n):
-                row[c] = v
-                yield from fill(c + 1)
-
-        yield from fill(0)
-
-    def rec(i: int, above: tuple[int, ...] | None):
+    def rec(i: int, above: tuple[int, ...]):
         if i == len(shape):
             return 1
         total = 0
-        for row in row_fillings(shape[i], above):
+        # weakly increasing along the row, strictly below the row above
+        for row in combinations_with_replacement(range(n), shape[i]):
+            if not all(v > a for v, a in zip(row, above)):
+                continue
             weight = 1
             for v in row:
                 weight = weight * values[v]
             total = total + weight * rec(i + 1, row)
         return total
 
-    return rec(0, None)
+    return rec(0, ())

@@ -176,6 +176,18 @@ def test_schur_reports_per_evaluator_preconditions(capsys):
     assert doc["jacobi_trudi_of_conjugate"] == doc["tableaux"]
 
 
+@pytest.mark.parametrize(
+    "partition, values, reason",
+    [("[6,5]", "1,1,1,1,1,1", "bialternant: bialternant undefined at non-distinct point; "
+                               "tableaux: tableau enumeration guard"),
+     ("[3]", "", "at least one value")],
+)
+def test_schur_with_fewer_than_two_evaluators_is_an_error(capsys, partition, values, reason):
+    code, doc = run_json(capsys, "schur", "--partition", partition, "--values", values)
+    assert code == 2 and set(doc) == {"schema", "error"}
+    assert reason in doc["error"]
+
+
 def test_duality_rectangle(capsys):
     code, doc = run_json(
         capsys, "duality", "--r", "1", "--m", "1", "--a", "1,2", "--b", "3,4"

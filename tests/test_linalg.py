@@ -52,6 +52,16 @@ def random_matrix(rng, rows, cols):
     )
 
 
+# --- construction ------------------------------------------------------------
+
+
+def test_matrix_is_frozen():
+    m = ExactMatrix.identity(2)
+    with pytest.raises(AttributeError):
+        m.entries = (0, 0, 0, 0)
+    assert m == ExactMatrix(2, 2, [1, 0, 0, 1]) and hash(m) == hash(ExactMatrix.identity(2))
+
+
 # --- determinants ------------------------------------------------------------
 
 

@@ -181,6 +181,15 @@ def test_term_view_reads_like_a_dict():
         p.terms[(0, 0)] = 1
 
 
+def test_term_view_holds_only_int_exponents():
+    p = MultiPoly.variable(1, 0) + 1
+    assert (1,) in p.terms and (0,) in p.terms
+    assert (1.5,) not in p.terms and (True,) not in p.terms and (Fraction(1),) not in p.terms
+    assert p.terms.get((True,)) is None
+    with pytest.raises(KeyError):
+        p.terms[(1.0,)]
+
+
 def test_exponents_up_to_the_field_maximum_round_trip():
     top = MAX_EXPONENT
     p = MultiPoly(3, {(top, 0, top): 1, (0, top, 1): -2})
@@ -265,6 +274,7 @@ EXACTNESS_RULES = {
 # boundary -> (rule, a call with the bad value v)
 EXACTNESS_BOUNDARIES = {
     "Partition": ("int", "Partition([2, v])"),
+    "Partition.padded": ("int", "Partition([2, 1]).padded(v)"),
     "rectangle-width": ("int", "rectangle(v, 2)"),
     "rectangle-height": ("int", "rectangle(2, v)"),
     "enumerate_in_rectangle": ("int", "enumerate_in_rectangle(v, 2)"),
@@ -290,6 +300,8 @@ EXACTNESS_BOUNDARIES = {
     "complement_identity_check":
         ("rational", "complement_identity_check(Partition([1]), 2, 2, [v, 1], [1, 2])"),
     "duality_check": ("rational", "duality_check(1, 1, [v, 2], [3, 4])"),
+    "ExactMatrix-rows": ("int", "ExactMatrix(v, 2, [1, 2, 3])"),
+    "ExactMatrix-cols": ("int", "ExactMatrix(1, v, [1])"),
     "det": ("rational", "det(ExactMatrix(1, 1, [v]))"),
     "det-symbolic": ("exact", "det(ExactMatrix(2, 2, [MultiPoly.variable(1, 0), v, 1, 1]))"),
     "det_bareiss": ("rational", "det_bareiss(ExactMatrix(1, 1, [v]))"),

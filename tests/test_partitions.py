@@ -52,6 +52,13 @@ def test_trailing_zeros_trimmed_and_equality_structural():
     assert len({Partition([2, 1]), Partition([2, 1, 0])}) == 1
 
 
+def test_frozen():
+    p = Partition([2, 1])
+    with pytest.raises(AttributeError):
+        p.parts = (3,)
+    assert p.parts == (2, 1)
+
+
 def test_rejects_increasing_and_negative():
     with pytest.raises(ValueError):
         Partition([1, 2])
@@ -152,8 +159,10 @@ def test_enumerate_2x2():
 
 
 def test_enumerate_order_descending_lex():
-    got = [p.padded(2) for p in enumerate_in_rectangle(2, 2)]
-    assert got == sorted(got, reverse=True)
+    for r in range(7):
+        for l in range(7):
+            got = [p.padded(l) for p in enumerate_in_rectangle(r, l)]
+            assert got == sorted(got, reverse=True), (r, l)
 
 
 def test_enumerate_degenerate_boxes():

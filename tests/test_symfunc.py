@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle
 from lefdet.symfunc import (
     HomogPair,
@@ -178,6 +179,13 @@ def test_three_way_agreement_small_sweep():
             assert jt == tab, (lam, x)
             if len(lam) <= n:
                 assert jt == schur_bialternant(lam, x), (lam, x)
+
+
+def test_tableaux_is_the_schur_polynomial_over_multipoly():
+    # a polynomial identity: every tableau of every shape in the 3x3 box counts
+    x = MultiPoly.variables(3)
+    for lam in enumerate_in_rectangle(3, 3):
+        assert schur_tableaux(lam, x) == schur(lam, x), lam
 
 
 def test_homogenization_relates_the_two_jacobi_trudi_forms():
