@@ -30,7 +30,6 @@ from .linalg import (
 from .mpoly import MultiPoly, render
 from .partitions import Partition, enumerate_in_rectangle, rectangle
 from .ring import (
-    GradedBasis,
     LinearForm,
     RingParams,
     SlpEntry,
@@ -63,7 +62,6 @@ __all__ = [
     "ExactMatrix",
     "Expansion",
     "ExpansionTerm",
-    "GradedBasis",
     "HomogPair",
     "LinearForm",
     "LiteralCase",

@@ -6,7 +6,9 @@ flat per-trial table), ``slp`` (strong Lefschetz scan), ``schur`` (the three
 Schur evaluators side by side), ``duality`` (rectangular Schur identities),
 ``report`` (full side-by-side record for one instance).  ``verify``,
 ``sweep`` and ``report`` format every route from the one ``CellRecord`` that
-``discrepancy_report`` builds per trial.
+``discrepancy_report`` builds per trial.  Each subcommand returns its
+document body and whether its routes agreed; ``main`` alone adds the
+``schema``/``command`` envelope and picks the exit code.
 
 All rationals in output are strings ``p`` or ``p/q`` in lowest terms; there
 is no floating point anywhere.  ``verify`` and ``sweep`` evaluate cells in
@@ -15,11 +17,12 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, at any split, 2 usage error or
-an arithmetic fault (a failed exactness check), reported as an error
-document.  When ``verify`` or ``sweep`` exits 1, one line on stderr names the
-first mismatching trial and the ``lefdet report`` command that recomputes it,
-which exits 1 on the same disagreement.
+determinant and the expansion or closed form, at any split, 2 usage error
+(argparse's own included) or an arithmetic fault (a failed exactness check),
+reported as an error document on stdout with nothing on stderr.  When
+``verify`` or ``sweep`` exits 1, one line on stderr names the first
+mismatching trial and the ``lefdet report`` command that recomputes it, which
+exits 1 on the same disagreement.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -199,25 +202,25 @@ def read_cell(args) -> tuple[RingParams, SplitForms, dict]:
     return rp, sf, inputs
 
 
-def cmd_det(args) -> tuple[dict, int]:
+def cmd_det(args) -> tuple[dict, bool]:
     if args.u is not None and args.method != "expansion":
         raise ValueError(f"--u splits the expansion; --method {args.method} takes no split")
     rp, sf, inputs = read_cell(args)
-    doc = {"schema": SCHEMA, "command": "det", "inputs": {**inputs, "method": args.method}}
+    body = {"inputs": {**inputs, "method": args.method}}
     direct = det_direct(rp, args.k, sf.all_forms)
     if args.method == "direct":
-        doc["det"] = fmt(direct)
-        return doc, EXIT_OK
+        body["det"] = fmt(direct)
+        return body, True
     if args.method == "closed":
         value = det_closed_form(rp, args.k, sf.all_forms)
     else:
-        doc["inputs"]["u"] = sf.u
+        body["inputs"]["u"] = sf.u
         expansion = det_schur_expansion(rp, args.k, sf)
         value = expansion.value
-        doc["terms"] = [term_doc(term) for term in expansion.terms]
-    doc["det"] = fmt(value)
-    doc["match_direct"] = value == direct
-    return doc, EXIT_OK if value == direct else EXIT_MISMATCH
+        body["terms"] = [term_doc(term) for term in expansion.terms]
+    body["det"] = fmt(value)
+    body["match_direct"] = value == direct
+    return body, value == direct
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
@@ -232,8 +235,6 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
         if dmax < 2:
             raise ValueError(f"--dmax {dmax} gives no cells; need --dmax >= 2")
         return lattice_cells(dmax)
-    if args.dmax is not None:
-        raise ValueError("--dmax selects the lattice; it cannot be combined with --d")
     if args.q is None:
         raise ValueError("--q is required with --d")
     cells = [
@@ -276,7 +277,7 @@ def run_sweep(args) -> tuple[dict, list[dict], int]:
     return inputs, results, mismatches
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(args) -> tuple[dict, bool]:
     inputs, results, mismatches = run_sweep(args)
     literal_flagged = sorted(
         {
@@ -287,9 +288,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             and any(not case["matches_direct"] for case in row["literal_case_audit"])
         }
     )
-    doc = {
-        "schema": SCHEMA,
-        "command": "verify",
+    body = {
         "inputs": {**inputs, "cells": len(results)},
         "cells": results,
         "summary": {
@@ -298,55 +297,47 @@ def cmd_verify(args) -> tuple[dict, int]:
             "literal_case_flagged_cells": [list(c) for c in literal_flagged],
         },
     }
-    return doc, EXIT_OK if mismatches == 0 else EXIT_MISMATCH
+    return body, mismatches == 0
 
 
-def cmd_sweep(args) -> tuple[dict, int]:
+def cmd_sweep(args) -> tuple[dict, bool]:
     inputs, results, mismatches = run_sweep(args)
     rows = []
     for cell in results:
         for row in cell["trials"]:
             source = {**cell, "seed": args.seed, **row}
             rows.append({key: source[key] for key in SWEEP_COLUMNS})
-    doc = {
-        "schema": SCHEMA,
-        "command": "sweep",
+    body = {
         "inputs": inputs,
         "rows": rows,
         "summary": {"rows": len(rows), "mismatches": mismatches},
     }
-    return doc, EXIT_OK if mismatches == 0 else EXIT_MISMATCH
+    return body, mismatches == 0
 
 
-def cmd_slp(args) -> tuple[dict, int]:
+def cmd_slp(args) -> tuple[dict, bool]:
     rp = RingParams(args.d, args.q)
     forms = parse_forms(args.forms)
     if len(forms) != 1:
         raise ValueError("slp needs exactly one form")
     report = slp_check(rp, forms[0])
-    doc = {
-        "schema": SCHEMA,
-        "command": "slp",
+    body = {
         "inputs": {"d": args.d, "q": args.q, "form": form_doc(forms[0])},
         "per_k": [
             {"k": e.k, "det": fmt(e.det), "nonzero": e.nonzero} for e in report.entries
         ],
         "slp": report.holds,
     }
-    return doc, EXIT_OK
+    return body, True
 
 
-def cmd_schur(args) -> tuple[dict, int]:
+def cmd_schur(args) -> tuple[dict, bool]:
     lam = Partition.from_text(args.partition)
     values = parse_values(args.values)
     if not values:
         raise ValueError("schur needs at least one value: over none, every evaluator "
                          "returns its convention (1 or 0) and compares nothing")
-    doc = {
-        "schema": SCHEMA,
-        "command": "schur",
-        "inputs": {"partition": str(lam), "values": [fmt(v) for v in values]},
-    }
+    body = {"inputs": {"partition": str(lam), "values": [fmt(v) for v in values]}}
     results = {}
     results["jacobi_trudi_of_conjugate"] = fmt(schur_jacobi_trudi(lam.conjugate(), values))
     for key, fn in (("bialternant", schur_bialternant), ("tableaux", schur_tableaux)):
@@ -354,25 +345,25 @@ def cmd_schur(args) -> tuple[dict, int]:
             results[key] = fmt(fn(lam, values))
         except ValueError as exc:
             results[key] = None
-            doc[f"{key}_error"] = str(exc)
+            body[f"{key}_error"] = str(exc)
     computed = [v for v in results.values() if v is not None]
     if len(computed) < 2:
         raise ValueError("schur needs two defined evaluators to compare, got one; "
-                         + "; ".join(f"{key}: {doc[key + '_error']}" for key in results
+                         + "; ".join(f"{key}: {body[key + '_error']}" for key in results
                                      if results[key] is None))
-    doc.update(results)
-    doc["agree"] = len(set(computed)) == 1
-    return doc, EXIT_OK if doc["agree"] else EXIT_MISMATCH
+    body.update(results)
+    body["agree"] = len(set(computed)) == 1
+    return body, body["agree"]
 
 
-def cmd_duality(args) -> tuple[dict, int]:
+def cmd_duality(args) -> tuple[dict, bool]:
     complement = args.partition is not None
     stray = [f"--{name}" for name in ("mab" if complement else "nxy")
              if getattr(args, name) is not None]
     if stray:
         identity = "the complement identity" if complement else "the rectangle duality"
         raise ValueError(f"{', '.join(stray)} do not apply to {identity}")
-    doc = {"schema": SCHEMA, "command": "duality"}
+    body = {}
     if complement:
         if args.n is None:
             raise ValueError("--n is required for the complement identity")
@@ -380,7 +371,7 @@ def cmd_duality(args) -> tuple[dict, int]:
         x = parse_values(args.x or "")
         y = parse_values(args.y or "")
         result = complement_identity_check(lam, args.r, args.n, x, y)
-        doc["inputs"] = {
+        body["inputs"] = {
             "identity": "complement",
             "partition": str(lam),
             "r": args.r,
@@ -388,32 +379,30 @@ def cmd_duality(args) -> tuple[dict, int]:
             "x": [fmt(v) for v in x],
             "y": [fmt(v) for v in y],
         }
-        doc["mu"] = str(result.mu)
+        body["mu"] = str(result.mu)
     else:
         if args.m is None:
             raise ValueError("--m is required for the rectangle duality")
         a = parse_values(args.a or "")
         b = parse_values(args.b or "")
         result = duality_check(args.r, args.m, a, b)
-        doc["inputs"] = {
+        body["inputs"] = {
             "identity": "rectangle",
             "r": args.r,
             "m": args.m,
             "a": [fmt(v) for v in a],
             "b": [fmt(v) for v in b],
         }
-    doc["lhs"] = fmt(result.lhs)
-    doc["rhs"] = fmt(result.rhs)
-    doc["equal"] = result.equal
-    return doc, EXIT_OK if result.equal else EXIT_MISMATCH
+    body["lhs"] = fmt(result.lhs)
+    body["rhs"] = fmt(result.rhs)
+    body["equal"] = result.equal
+    return body, result.equal
 
 
-def cmd_report(args) -> tuple[dict, int]:
+def cmd_report(args) -> tuple[dict, bool]:
     rp, sf, inputs = read_cell(args)
     record = discrepancy_report(rp, args.k, sf)
-    doc = {
-        "schema": SCHEMA,
-        "command": "report",
+    body = {
         "inputs": {**inputs, "u": sf.u},
         "det_direct": fmt(record.direct),
         "det_expansion": fmt(record.expansion.value),
@@ -430,8 +419,7 @@ def cmd_report(args) -> tuple[dict, int]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    ok = record.expansion_matches and record.closed_matches
-    return doc, EXIT_OK if ok else EXIT_MISMATCH
+    return body, record.expansion_matches and record.closed_matches
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +450,22 @@ def emit(doc: dict, output: str) -> None:
         sys.stdout.write(f"  {key}: {json.dumps(doc[key], sort_keys=True)}\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors, so that ``main`` reports them as error documents."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lefdet",
         description="Exact determinants of multiplication maps on K[x,y]/(x^(d+1), y^(q+1))",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("--output", choices=["json", "csv", "text"], default="json")
+    def add_output(p, choices=("json", "text")):
+        p.add_argument("--output", choices=choices, default="json")
 
     def add_cell(p):
         # the cell flags of det and report, read back by read_cell
@@ -486,15 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["direct", "expansion", "closed"], default="direct")
     add_output(p)
 
-    for name, help_text in (
-        ("verify", "seeded cross-check sweep; exit 1 on any direct mismatch"),
-        ("sweep", "same lattice as a flat per-trial table"),
+    for name, help_text, outputs in (
+        ("verify", "seeded cross-check sweep; exit 1 on any direct mismatch", ("json", "text")),
+        ("sweep", "same lattice as a flat per-trial table", ("json", "csv", "text")),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dmax", type=int, default=None,
-                       help="largest d+q in the lattice (default 6); not with --d")
-        p.add_argument("--d", type=int, default=None,
-                       help="single-cell mode: the cells of one ring, filtered by --k and --u")
+        cells = p.add_mutually_exclusive_group()
+        cells.add_argument("--dmax", type=int, default=None,
+                           help="largest d+q in the lattice (default 6)")
+        cells.add_argument("--d", type=int, default=None,
+                           help="single-cell mode: the cells of one ring, filtered by --k and --u")
         p.add_argument("--q", type=int, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--u", type=int, default=None)
@@ -504,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="allow zero coordinates in random forms")
         p.add_argument("--threads", type=int, default=None,
                        help="accepted for compatibility and ignored")
-        add_output(p)
+        add_output(p, outputs)
 
     p = sub.add_parser("slp", help="strong Lefschetz scan for one form")
     p.add_argument("--d", type=int, required=True)
@@ -547,19 +543,16 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.output == "csv" and args.command != "sweep":
-            raise ValueError("csv output is only available for sweep")
-        doc, code = COMMANDS[args.command](args)
-        emit(doc, args.output)
+        args = build_parser().parse_args(argv)
+        body, agrees = COMMANDS[args.command](args)
+        emit({"schema": SCHEMA, "command": args.command, **body}, args.output)
     except (ValueError, ArithmeticError) as exc:
         sys.stdout.write(
             json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True) + "\n"
         )
         return EXIT_USAGE
-    return code
+    return EXIT_OK if agrees else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

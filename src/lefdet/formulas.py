@@ -297,6 +297,9 @@ def symbolic_forms(n: int) -> tuple[list[LinearForm], list[str]]:
     Variables are a1..an then b1..bn in a 2n-variable polynomial ring, so a
     report over these forms reads like the formulas it checks.
     """
+    require_int("form count", n)
+    if n < 0:
+        raise ValueError(f"form count {n} is negative")
     names = [f"a{i + 1}" for i in range(n)] + [f"b{i + 1}" for i in range(n)]
     gens = MultiPoly.variables(2 * n)
     forms = [LinearForm(gens[i], gens[n + i]) for i in range(n)]

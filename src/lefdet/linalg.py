@@ -193,6 +193,7 @@ def det(m: ExactMatrix):
 
 def _check_index_set(indices, bound: int, what: str) -> tuple[int, ...]:
     indices = tuple(indices)
+    require_int(f"{what} index", *indices)
     for a, b in zip(indices, indices[1:]):
         if a >= b:
             raise ValueError(f"{what} indices must be strictly increasing: {indices}")

@@ -272,7 +272,7 @@ class TermView(Mapping):
     """Read-only ``{exponent tuple: Fraction}`` view of a MultiPoly's terms.
 
     Keys are unpacked on demand, so ``len`` costs nothing and a lookup packs
-    one tuple.
+    one tuple; any key that is not such a tuple is missing.
     """
 
     __slots__ = ("_poly",)
@@ -288,7 +288,7 @@ class TermView(Mapping):
         return (_unpack(key, arity) for key in self._poly._terms)
 
     def __getitem__(self, expo):
-        if len(expo) != self._poly.arity or not all(
+        if type(expo) is not tuple or len(expo) != self._poly.arity or not all(
             type(e) is int and 0 <= e <= MAX_EXPONENT for e in expo
         ):
             raise KeyError(expo)

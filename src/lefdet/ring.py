@@ -80,27 +80,14 @@ class LinearForm:
             raise ValueError("linear form must be nonzero")
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    degree: int
-    monomials: tuple[tuple[int, int], ...]
-
-    @property
-    def y_exponents(self) -> tuple[int, ...]:
-        return tuple(j for _, j in self.monomials)
-
-    def __len__(self):
-        return len(self.monomials)
-
-
-def basis(rp: RingParams, k: int) -> GradedBasis:
+def basis(rp: RingParams, k: int) -> tuple[tuple[int, int], ...]:
     """Monomials x^i y^(k-i) with 0 <= i <= d and 0 <= k-i <= q, x-degree descending."""
     require_int("degree", k)
     if not 0 <= k <= rp.socle:
         raise ValueError(f"degree {k} outside 0..{rp.socle}")
     top = min(rp.d, k)
     bottom = max(0, k - rp.q)
-    return GradedBasis(k, tuple((i, k - i) for i in range(top, bottom - 1, -1)))
+    return tuple((i, k - i) for i in range(top, bottom - 1, -1))
 
 
 def dim(rp: RingParams, k: int) -> int:
@@ -128,9 +115,9 @@ def mult_matrix(rp: RingParams, form: LinearForm, k: int) -> ExactMatrix:
         raise ValueError(f"degree {k} outside 0..{rp.socle - 1}")
     src = basis(rp, k)
     tgt = basis(rp, k + 1)
-    row_of = {mono: r for r, mono in enumerate(tgt.monomials)}
+    row_of = {mono: r for r, mono in enumerate(tgt)}
     entries = [[0] * len(src) for _ in range(len(tgt))]
-    for c, (i, j) in enumerate(src.monomials):
+    for c, (i, j) in enumerate(src):
         up_x = (i + 1, j)
         if up_x in row_of:
             entries[row_of[up_x]][c] = form.a
@@ -152,11 +139,11 @@ def mult_matrix_block(rp: RingParams, forms, k: int) -> ExactMatrix:
     if not (0 <= k and k + u <= rp.socle):
         raise ValueError(f"degrees {k}..{k + u} outside 0..{rp.socle}")
     coeffs = product_coefficients(forms)
-    src = basis(rp, k)
-    tgt = basis(rp, k + u)
+    src = [j for _, j in basis(rp, k)]
+    tgt = [i for _, i in basis(rp, k + u)]
     entries = []
-    for i in tgt.y_exponents:
-        for j in src.y_exponents:
+    for i in tgt:
+        for j in src:
             shift = i - j
             entries.append(coeffs[shift] if 0 <= shift <= u else 0)
     return ExactMatrix(len(tgt), len(src), entries)

@@ -127,10 +127,35 @@ def test_det_malformed_forms_exit_2(capsys):
     assert code == 2 and "error" in doc
 
 
-def test_unknown_flag_exit_2(capsys):
+CELL = ["--d", "1", "--q", "1", "--k", "0", "--forms", "1,1;1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["det", "--bogus"],
+        ["verify", "--dmax", "x"],
+        ["det", *CELL, "--method", "foo"],
+        [],
+        ["det", "--d", "1", "--q", "1"],
+        ["verify", "--dmax", "3", "--d", "2", "--q", "1"],
+        ["det", *CELL, "--output", "csv"],
+    ],
+    ids=["unknown-flag", "non-int", "bad-choice", "no-subcommand", "missing-flag",
+         "dmax-with-d", "csv-off-sweep"],
+)
+def test_argparse_usage_errors_are_error_documents(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(captured.out)) == {"schema", "error"}
+    assert captured.err == ""
+
+
+def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as err:
-        main(["det", "--bogus"])
-    assert err.value.code == 2
+        main(["--help"])
+    assert err.value.code == 0
 
 
 # --- slp / schur / duality ---------------------------------------------------

@@ -186,6 +186,8 @@ def test_term_view_holds_only_int_exponents():
     assert (1,) in p.terms and (0,) in p.terms
     assert (1.5,) not in p.terms and (True,) not in p.terms and (Fraction(1),) not in p.terms
     assert p.terms.get((True,)) is None
+    for key in (5, None, [1, 0], [1], (1, 0), "1"):
+        assert key not in p.terms and p.terms.get(key, "missing") == "missing"
     with pytest.raises(KeyError):
         p.terms[(1.0,)]
 
@@ -306,6 +308,8 @@ EXACTNESS_BOUNDARIES = {
     "det-symbolic": ("exact", "det(ExactMatrix(2, 2, [MultiPoly.variable(1, 0), v, 1, 1]))"),
     "det_bareiss": ("rational", "det_bareiss(ExactMatrix(1, 1, [v]))"),
     "det_laplace": ("exact", "det_laplace(ExactMatrix(1, 1, [v]))"),
+    "minor_det": ("int", "minor_det(ExactMatrix(1, 1, [3]), (v,), (0,))"),
+    "symbolic_forms": ("int", "symbolic_forms(v)"),
 }
 
 HELPERS = ("require_int", "require_rational", "require_exact")
