@@ -34,6 +34,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -51,6 +52,7 @@ from .ring import LinearForm, RingParams, det_direct, slp_check
 from .symfunc import schur_bialternant, schur_jacobi_trudi, schur_tableaux
 
 SCHEMA = "lefdet/1"
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -67,10 +69,13 @@ SWEEP_COLUMNS = (
 
 
 def parse_rational(text: str) -> Fraction:
+    """Only ``p`` or ``p/q`` in ASCII digits; ``Fraction`` alone would expand ``1e999999999``."""
     text = text.strip()
+    if not RATIONAL.fullmatch(text):
+        raise ValueError(f"bad rational {text!r}: need p or p/q in ASCII digits")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -179,7 +184,7 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
                 "det_direct": fmt(record.direct),
                 "det_expansion": fmt(record.expansion.value),
                 "det_closed": fmt(record.closed),
-                "match": record.expansion_matches and record.closed_matches,
+                "match": record.agrees,
                 "literal_case_audit": "undefined"
                 if record.literal_error is not None
                 else [audit_doc(c, record.direct) for c in record.literal],
@@ -419,7 +424,7 @@ def cmd_report(args) -> tuple[dict, bool]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    return body, record.expansion_matches and record.closed_matches
+    return body, record.agrees
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from math import prod
 
 from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, enumerate_in_rectangle, rectangle
-from .ring import LinearForm, RingParams, check_cell, det_direct, dim
+from .ring import LinearForm, RingParams, check_cell, det_direct, dim, form_pair
 from .symfunc import HomogPair, schur, schur_homog
 
 
@@ -71,11 +71,12 @@ class SplitForms:
         return len(self.check)
 
     def check_pair(self) -> HomogPair:
-        return HomogPair(tuple(f.a for f in self.check), tuple(f.b for f in self.check))
+        return form_pair(self.check)
 
     def hat_pair(self) -> HomogPair:
         """The hat group with roles swapped: numerators b, denominators a."""
-        return HomogPair(tuple(f.b for f in self.hat), tuple(f.a for f in self.hat))
+        pair = form_pair(self.hat)
+        return HomogPair(pair.b, pair.a)
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ def det_closed_form(rp: RingParams, k: int, forms):
     """
     forms = tuple(forms)
     check_cell(rp, k, len(forms))
-    pair = HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
+    pair = form_pair(forms)
     if k <= rp.q:
         width, height = rp.d - k, k + 1
     else:
@@ -272,6 +273,11 @@ class CellRecord:
     @property
     def closed_matches(self) -> bool:
         return self.closed == self.direct
+
+    @property
+    def agrees(self) -> bool:
+        """The cell's verdict: both closed routes equal the direct determinant."""
+        return self.expansion_matches and self.closed_matches
 
 
 def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:

@@ -63,15 +63,6 @@ class ExactMatrix:
     def row(self, r: int):
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
-    def submatrix(self, row_indices, col_indices) -> "ExactMatrix":
-        row_indices = tuple(row_indices)
-        col_indices = tuple(col_indices)
-        return ExactMatrix(
-            len(row_indices),
-            len(col_indices),
-            [self[r, c] for r in row_indices for c in col_indices],
-        )
-
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -208,7 +199,7 @@ def minor_det(m: ExactMatrix, rowset, colset):
     colset = _check_index_set(colset, m.cols, "column")
     if len(rowset) != len(colset):
         raise ValueError("row and column sets must have equal size")
-    return det(m.submatrix(rowset, colset))
+    return det(ExactMatrix(len(rowset), len(colset), [m[r, c] for r in rowset for c in colset]))
 
 
 @dataclass(frozen=True)

@@ -85,15 +85,6 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __bool__(self):
-        return bool(self.parts)
-
     def __str__(self):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 

@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .linalg import ExactMatrix, det
 from .mpoly import require_exact, require_int
-from .symfunc import HomogPair, _homog_table
+from .symfunc import HomogPair
 
 
 @dataclass(frozen=True)
@@ -98,15 +98,19 @@ def dim(rp: RingParams, k: int) -> int:
     return min(rp.d, k) - max(0, k - rp.q) + 1
 
 
+def form_pair(forms) -> HomogPair:
+    """The pair ((a_t); (b_t)) of a form list: x-side against y-side coefficients."""
+    forms = tuple(forms)
+    return HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
+
+
 def product_coefficients(forms) -> list:
     """Coefficients of prod(a_t x + b_t y), indexed by y-exponent.
 
     Entry i is E_{u-i}(a; b): choosing the x-part from a size-(u-i) subset of
     the factors and the y-part from the rest.  The empty product gives [1].
     """
-    forms = tuple(forms)
-    pair = HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
-    return list(reversed(_homog_table(pair)))
+    return list(reversed(form_pair(forms).table()))
 
 
 def mult_matrix(rp: RingParams, form: LinearForm, k: int) -> ExactMatrix:

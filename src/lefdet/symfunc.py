@@ -16,7 +16,9 @@ ratio vector a/b.  E_k(a; b) sums, over k-subsets S, the product of a over S
 times the product of b off S, so E_k(a; b) = (prod b) * e_k(a/b) whenever no
 b entry vanishes; the determinant variants carry the matching power of
 prod b.  They are polynomial in a and b, hence defined with zero entries too.
-``elementary`` and ``schur_jacobi_trudi`` run on the same kernel at the pair
+The table [E_0, ..., E_n] belongs to the pair (``HomogPair.table``), and
+``schur_homog`` is the one kernel that builds a Jacobi-Trudi matrix from it.
+``elementary`` and ``schur_jacobi_trudi`` run on that kernel at the pair
 (values; 1, ..., 1), since E_k(a; 1) = e_k(a), and share its exactness check.
 """
 
@@ -50,16 +52,15 @@ class HomogPair:
     def __len__(self):
         return len(self.a)
 
-
-def _homog_table(pair: HomogPair) -> list:
-    """[E_0, ..., E_n] with E_k(a; b) the degree-k subset sum; E_0 = prod b."""
-    table: list = [1]
-    for a_i, b_i in zip(pair.a, pair.b):
-        table.append(0)
-        for j in range(len(table) - 1, 0, -1):
-            table[j] = b_i * table[j] + a_i * table[j - 1]
-        table[0] = b_i * table[0]
-    return table
+    def table(self) -> list:
+        """[E_0, ..., E_n] with E_k(a; b) the degree-k subset sum; E_0 = prod b."""
+        table: list = [1]
+        for a_i, b_i in zip(self.a, self.b):
+            table.append(0)
+            for j in range(len(table) - 1, 0, -1):
+                table[j] = b_i * table[j] + a_i * table[j - 1]
+            table[0] = b_i * table[0]
+        return table
 
 
 def _unit_pair(values) -> HomogPair:
@@ -73,7 +74,7 @@ def elementary_homog(k: int, pair: HomogPair):
     require_int("degree", k)
     if k < 0 or k > len(pair):
         return 0
-    return _homog_table(pair)[k]
+    return pair.table()[k]
 
 
 def elementary(k: int, values):
@@ -81,23 +82,9 @@ def elementary(k: int, values):
     return elementary_homog(k, _unit_pair(values))
 
 
-def _jt_det(table: list, parts: tuple[int, ...]):
-    """det(T[parts_i + j - i]) over the given table, 0 past either end of it."""
-    size = len(parts)
-    if size == 0:
-        return 1
-    top = len(table)
-
-    def at(k: int):
-        return table[k] if 0 <= k < top else 0
-
-    entries = [at(parts[i] + j - i) for i in range(size) for j in range(size)]
-    return det(ExactMatrix(size, size, entries))
-
-
 def schur_jacobi_trudi(lam: Partition, values):
     """det(e_{lam_i + j - i}(values)); this is the Schur value of conjugate(lam)."""
-    return _jt_det(_homog_table(_unit_pair(values)), lam.parts)
+    return schur_homog(lam, _unit_pair(values))
 
 
 def schur(lam: Partition, values):
@@ -116,7 +103,16 @@ def schur_homog(lam: Partition, pair: HomogPair, rows: int | None = None):
     require_int("rows", size)
     if size < len(lam):
         raise ValueError(f"rows={rows} cannot hold {len(lam)} parts")
-    return _jt_det(_homog_table(pair), lam.padded(size))
+    table = pair.table()
+    if size == 0:
+        return 1
+    parts = lam.padded(size)
+
+    def at(k: int):
+        return table[k] if 0 <= k < len(table) else 0
+
+    entries = [at(parts[i] + j - i) for i in range(size) for j in range(size)]
+    return det(ExactMatrix(size, size, entries))
 
 
 def schur_bialternant(lam: Partition, values) -> Fraction:

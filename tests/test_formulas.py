@@ -364,6 +364,7 @@ def test_report_trivial_split_all_routes_agree():
     assert record.direct == record.expansion.value == 7
     assert record.closed == 7
     assert (record.expansion_matches, record.closed_matches) == (True, True)
+    assert record.agrees is True
 
 
 def test_report_mixed_split_flags_literal_only():
