@@ -2,9 +2,10 @@
 
 Subcommands: ``det`` (one determinant by any method), ``verify`` (seeded
 cross-check sweep with exit-code semantics), ``sweep`` (the same lattice as a
-flat per-trial table), ``slp`` (strong Lefschetz scan), ``schur`` (the three
-Schur evaluators side by side), ``duality`` (rectangular Schur identities),
-``report`` (full side-by-side record for one instance).  ``verify``,
+flat per-trial table), ``slp`` (strong Lefschetz scan, by the hook-content
+product of ``det_power``), ``schur`` (the three Schur evaluators side by
+side), ``duality`` (rectangular Schur identities), ``report`` (full
+side-by-side record for one instance).  ``verify``,
 ``sweep`` and ``report`` format every route from the one ``CellRecord`` that
 ``discrepancy_report`` builds per trial.  Each subcommand returns its
 document body and whether its routes agreed; ``main`` alone adds the
@@ -46,9 +47,11 @@ from .formulas import (
     det_schur_expansion,
     discrepancy_report,
     duality_check,
+    slp_check,
 )
+from .mpoly import parse_int
 from .partitions import Partition
-from .ring import LinearForm, RingParams, det_direct, slp_check
+from .ring import LinearForm, RingParams, det_direct
 from .symfunc import schur_bialternant, schur_jacobi_trudi, schur_tableaux
 
 SCHEMA = "lefdet/1"
@@ -101,7 +104,19 @@ def parse_forms(text: str) -> list[LinearForm]:
 
 
 def fmt(value) -> str:
-    return str(Fraction(value))
+    """``p`` or ``p/q`` in lowest terms, of any size.
+
+    Python's int-to-str digit limit (3.10.7 and later) is lifted only while the
+    result converts; parsing argv keeps it, as it bounds the quadratic str -> int.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(Fraction(value))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(Fraction(value))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def form_doc(form: LinearForm) -> list[str]:
@@ -474,10 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cell(p):
         # the cell flags of det and report, read back by read_cell
-        p.add_argument("--d", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--u", type=int, default=None,
+        p.add_argument("--d", type=parse_int, required=True)
+        p.add_argument("--q", type=parse_int, required=True)
+        p.add_argument("--k", type=parse_int, required=True)
+        p.add_argument("--u", type=parse_int, default=None,
                        help="split point of the expansion (default: all forms in the check group)")
         p.add_argument("--forms", default="", help="semicolon-separated pairs, e.g. 2,1;1,3")
 
@@ -492,24 +507,24 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         cells = p.add_mutually_exclusive_group()
-        cells.add_argument("--dmax", type=int, default=None,
+        cells.add_argument("--dmax", type=parse_int, default=None,
                            help="largest d+q in the lattice (default 6)")
-        cells.add_argument("--d", type=int, default=None,
+        cells.add_argument("--d", type=parse_int, default=None,
                            help="single-cell mode: the cells of one ring, filtered by --k and --u")
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--u", type=int, default=None)
-        p.add_argument("--trials", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--q", type=parse_int, default=None)
+        p.add_argument("--k", type=parse_int, default=None)
+        p.add_argument("--u", type=parse_int, default=None)
+        p.add_argument("--trials", type=parse_int, default=5)
+        p.add_argument("--seed", type=parse_int, default=0)
         p.add_argument("--allow-zero", action="store_true", dest="allow_zero",
                        help="allow zero coordinates in random forms")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=parse_int, default=None,
                        help="accepted for compatibility and ignored")
         add_output(p, outputs)
 
     p = sub.add_parser("slp", help="strong Lefschetz scan for one form")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--d", type=parse_int, required=True)
+    p.add_argument("--q", type=parse_int, required=True)
     p.add_argument("--forms", required=True, help="exactly one pair a,b")
     add_output(p)
 
@@ -519,12 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("duality", help="rectangular Schur identities")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="rectangle duality: 2m values per side")
+    p.add_argument("--r", type=parse_int, required=True)
+    p.add_argument("--m", type=parse_int, default=None,
+                   help="rectangle duality: 2m values per side")
     p.add_argument("--a", default=None, help="rectangle duality numerators")
     p.add_argument("--b", default=None, help="rectangle duality denominators")
     p.add_argument("--partition", default=None, help="complement identity: the shape")
-    p.add_argument("--n", type=int, default=None, help="complement identity: box height")
+    p.add_argument("--n", type=parse_int, default=None, help="complement identity: box height")
     p.add_argument("--x", default=None, help="complement identity numerators")
     p.add_argument("--y", default=None, help="complement identity denominators")
     add_output(p)

@@ -17,6 +17,14 @@ coefficients alike.
 product, the u = d+q-2k degeneration of the expansion.  The determinant does
 not depend on how the forms are split, so the closed form applies at every u.
 
+``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
+There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
+determinant factors as a^(WH) b^((n-W)H) times the number of semistandard
+tableaux of the rectangle with entries at most n, a hook-content product of
+positive factors (Macdonald, Symmetric Functions and Hall Polynomials, I.3
+Ex. 4).  ``slp_check``, the strong Lefschetz scan, runs on it and builds no
+matrix; the ``ring`` ground truth checks it in the tests.
+
 ``det_literal_cases`` is audit-only.  It evaluates a tempting per-case set
 of ratio formulas (organized by how k and k+u sit relative to q and d) whose
 mixed-split cases are KNOWN to disagree with the direct determinant: the hat
@@ -31,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import perm, prod
 
 from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, enumerate_in_rectangle, rectangle
@@ -122,6 +130,13 @@ def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
     return Expansion(value=total, terms=tuple(terms))
 
 
+def _rectangle_sides(rp: RingParams, k: int) -> tuple[int, int]:
+    """Width and height of the closed form's rectangle on degree k."""
+    if k <= rp.q:
+        return rp.d - k, k + 1
+    return rp.socle - 2 * k, rp.q + 1
+
+
 def det_closed_form(rp: RingParams, k: int, forms):
     """Single rectangular Schur value for the unsplit product.
 
@@ -131,12 +146,58 @@ def det_closed_form(rp: RingParams, k: int, forms):
     """
     forms = tuple(forms)
     check_cell(rp, k, len(forms))
-    pair = form_pair(forms)
-    if k <= rp.q:
-        width, height = rp.d - k, k + 1
-    else:
-        width, height = rp.socle - 2 * k, rp.q + 1
-    return schur_homog(rectangle(width, height), pair, rows=height)
+    width, height = _rectangle_sides(rp, k)
+    return schur_homog(rectangle(width, height), form_pair(forms), rows=height)
+
+
+def det_power(rp: RingParams, k: int, form: LinearForm):
+    """Determinant of multiplication by form^(d+q-2k) on degree k, in closed form.
+
+    With n = d+q-2k, form = ax + by and (W, H) the closed form's rectangle,
+    the value is a^(WH) * b^((n-W)H) * N, where
+    N = prod_{i<W} (n-i+H-1)! i! / ((n-i-1)! (i+H)!) counts the semistandard
+    tableaux with W rows of length H and entries at most n.  Every
+    hook-content factor is positive, so N > 0 and the determinant is zero
+    exactly when a = 0 with W > 0 or b = 0 with n > W.  Division-free in a
+    and b, so it serves symbolic coefficients too; like ``det_direct`` it
+    returns a ``Fraction`` for rational forms.
+    """
+    require_int("degree", k)
+    n = rp.socle - 2 * k
+    check_cell(rp, k, n)
+    width, height = _rectangle_sides(rp, k)
+    tableaux = 1
+    for i in range(width):
+        # perm(m, H) = m!/(m-H)!; each quotient is exact, the count for i+1 rows
+        tableaux = tableaux * perm(n - i + height - 1, height) // perm(i + height, height)
+    value = form.a ** (width * height) * form.b ** ((n - width) * height) * tableaux
+    return value if isinstance(value, MultiPoly) else Fraction(value)
+
+
+@dataclass(frozen=True)
+class SlpEntry:
+    k: int
+    det: object
+    nonzero: bool
+
+
+@dataclass(frozen=True)
+class SlpReport:
+    entries: tuple[SlpEntry, ...]
+    holds: bool
+
+
+def slp_check(rp: RingParams, form: LinearForm) -> SlpReport:
+    """Determinant of multiplication by form^(d+q-2k) for every k up to (d+q)/2.
+
+    The form witnesses the strong Lefschetz property exactly when every
+    determinant is nonzero.  Each one is ``det_power``; no matrix is built.
+    """
+    entries = []
+    for k in range(rp.socle // 2 + 1):
+        value = det_power(rp, k, form)
+        entries.append(SlpEntry(k=k, det=value, nonzero=value != 0))
+    return SlpReport(entries=tuple(entries), holds=all(e.nonzero for e in entries))
 
 
 @dataclass(frozen=True)

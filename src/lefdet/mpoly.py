@@ -21,15 +21,26 @@ and a ``Fraction`` otherwise, and zero coefficients are never stored.  The
 The ``require_*`` helpers below are the package's one exactness rule, called at
 every public entry point.  Types match exactly, so ``bool`` never passes: an
 integer is ``int``, a rational ``int`` or ``Fraction``, a ring element either or ``MultiPoly``.
+``parse_int`` is the one rule for an integer written as text.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 
 FIELD = 32
 MAX_EXPONENT = (1 << FIELD) - 1
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """ASCII digits with an optional sign; ``int`` would also read ``1_0`` or Arabic digits."""
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}: need ASCII digits with an optional sign")
+    return int(text)
 
 
 def require_int(what: str, *values) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .mpoly import require_int
+from .mpoly import parse_int, require_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,7 +40,7 @@ class Partition:
         inner = text[1:-1].strip()
         if not inner:
             return cls()
-        return cls(int(tok) for tok in inner.split(","))
+        return cls(parse_int(tok) for tok in inner.split(","))
 
     @property
     def weight(self) -> int:

@@ -1,10 +1,10 @@
 """The graded algebra K[x,y] modulo x^(d+1) and y^(q+1).
 
 Monomial bases per degree, representation matrices of multiplication by
-products of linear forms, brute-force determinants of those maps, and the
-strong Lefschetz scan.  Everything here is computed directly from monomials,
-so this module is the ground truth that the closed forms in ``formulas`` are
-checked against.
+products of linear forms, and brute-force determinants of those maps.
+Everything here is computed directly from monomials, so this module is the
+ground truth that the closed forms in ``formulas`` (the strong Lefschetz
+scan's hook-content product among them) are checked against.
 
 Basis order is fixed to strictly decreasing x-exponent (x^k, x^{k-1}y, ...),
 which pins down every determinant sign.  A monomial whose x-exponent exceeds
@@ -198,28 +198,3 @@ def det_direct(rp: RingParams, k: int, forms):
         )
     return det(mult_matrix_block(rp, primitive, k)) / scale ** dim(rp, k)
 
-
-@dataclass(frozen=True)
-class SlpEntry:
-    k: int
-    det: object
-    nonzero: bool
-
-
-@dataclass(frozen=True)
-class SlpReport:
-    entries: tuple[SlpEntry, ...]
-    holds: bool
-
-
-def slp_check(rp: RingParams, form: LinearForm) -> SlpReport:
-    """Determinant of multiplication by form^(d+q-2k) for every k up to (d+q)/2.
-
-    The form witnesses the strong Lefschetz property exactly when every
-    determinant is nonzero.
-    """
-    entries = []
-    for k in range(rp.socle // 2 + 1):
-        value = det_direct(rp, k, [form] * (rp.socle - 2 * k))
-        entries.append(SlpEntry(k=k, det=value, nonzero=value != 0))
-    return SlpReport(entries=tuple(entries), holds=all(e.nonzero for e in entries))

@@ -20,12 +20,13 @@ from lefdet.formulas import (
     det_schur_expansion,
     discrepancy_report,
     duality_check,
+    slp_check,
     symbolic_forms,
 )
 from lefdet.linalg import ExactMatrix, cauchy_binet_check
 from lefdet.mpoly import MultiPoly
 from lefdet.partitions import enumerate_in_rectangle
-from lefdet.ring import LinearForm, RingParams, det_direct, slp_check
+from lefdet.ring import LinearForm, RingParams, det_direct
 from lefdet.symfunc import schur_bialternant, schur_jacobi_trudi, schur_tableaux
 
 SEED = 0
@@ -223,6 +224,9 @@ def test_criterion_7_strong_lefschetz_for_x_plus_y():
             d = s - q
             result = slp_check(RingParams(d, q), one)
             assert result.holds, (d, q, [(e.k, e.det) for e in result.entries])
+            for e in result.entries:
+                direct = det_direct(RingParams(d, q), e.k, [one] * (s - 2 * e.k))
+                assert e.det == direct, (d, q, e.k)
             pairs += 1
     report(7, f"every per-k determinant nonzero for x+y across {pairs} rings (d+q <= 12)")
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shlex
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from lefdet.cli import (
     parse_values,
     random_form,
 )
-from lefdet.ring import LinearForm
+from lefdet.ring import LinearForm, RingParams, det_direct
 
 
 def run(capsys, *argv):
@@ -148,9 +149,13 @@ CELL = ["--d", "1", "--q", "1", "--k", "0", "--forms", "1,1;1,1"]
         ["verify", "--dmax", "3", "--d", "2", "--q", "1"],
         ["det", *CELL, "--output", "csv"],
         ["det", "--d", "1", "--q", "1", "--k", "0", "--forms", "1e5,1;1,1"],
+        ["slp", "--d", "1_0", "--q", "2", "--forms", "1,1"],
+        ["slp", "--d", "\u0662", "--q", "1", "--forms", "1,1"],
+        ["schur", "--partition", "[1_0]", "--values", "1,2"],
     ],
     ids=["unknown-flag", "non-int", "bad-choice", "no-subcommand", "missing-flag",
-         "dmax-with-d", "csv-off-sweep", "exponent-rational"],
+         "dmax-with-d", "csv-off-sweep", "exponent-rational", "int-underscore",
+         "int-non-ascii-digit", "partition-underscore"],
 )
 def test_argparse_usage_errors_are_error_documents(capsys, argv):
     code = main(argv)
@@ -158,6 +163,25 @@ def test_argparse_usage_errors_are_error_documents(capsys, argv):
     assert code == 2
     assert set(json.loads(captured.out)) == {"schema", "error"}
     assert captured.err == ""
+
+
+def test_results_of_any_size_are_printed_exactly(capsys):
+    # a 36,000-digit determinant: str() of it passes Python's digit limit,
+    # which fmt lifts for the conversion and restores afterwards
+    big = "7" * 600
+    limit = sys.get_int_max_str_digits()
+    code, doc = run_json(
+        capsys, "det", "--d", "10", "--q", "10", "--k", "5", "--method", "direct",
+        "--forms=" + ";".join([f"{big},1"] * 10),
+    )
+    assert code == 0 and len(doc["det"]) > limit
+    assert sys.get_int_max_str_digits() == limit
+    expected = det_direct(RingParams(10, 10), 5, [LinearForm(int(big), 1)] * 10)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(doc["det"]) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_help_still_exits_0(capsys):

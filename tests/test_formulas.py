@@ -3,17 +3,21 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lefdet.formulas import (
     SplitForms,
     complement_identity_check,
     det_closed_form,
     det_literal_cases,
+    det_power,
     det_schur_expansion,
     discrepancy_report,
     duality_check,
+    slp_check,
     symbolic_forms,
 )
+from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle, rectangle
 from lefdet.ring import LinearForm, RingParams, det_direct
 from lefdet.symfunc import schur, schur_jacobi_trudi
@@ -228,6 +232,56 @@ def test_every_route_raises_the_one_cell_rule(k, nforms):
         with pytest.raises(ValueError) as err:
             route()
         assert str(err.value) == str(direct.value)
+
+
+# --- powers of one form: the hook-content product ----------------------------
+
+
+def test_power_equals_direct_as_a_polynomial_identity():
+    # a and b symbolic: one identity per cell covers every form on it
+    form = LinearForm(*MultiPoly.variables(2))
+    cells = 0
+    for s in range(2, 21):
+        for q in range(1, s // 2 + 1):
+            rp = RingParams(s - q, q)
+            for k in range(s // 2 + 1):
+                direct = det_direct(rp, k, [form] * (s - 2 * k))
+                assert det_power(rp, k, form) == direct, (s - q, q, k)
+                cells += 1
+    assert cells == 770
+
+
+@st.composite
+def slp_rings_and_forms(draw):
+    """A ring with d+q <= 14 and a form with int or Fraction coordinates, one may be zero."""
+    q = draw(st.integers(min_value=1, max_value=7))
+    d = draw(st.integers(min_value=q, max_value=14 - q))
+    coeff = st.one_of(
+        st.integers(min_value=-50, max_value=50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=50),
+    )
+    a, b = draw(st.tuples(coeff, coeff).filter(lambda ab: ab != (0, 0)))
+    return RingParams(d, q), LinearForm(a, b)
+
+
+@given(slp_rings_and_forms())
+def test_slp_scan_equals_direct_and_holds_exactly_when_ab_is_nonzero(case):
+    rp, form = case
+    report = slp_check(rp, form)
+    assert [e.k for e in report.entries] == list(range(rp.socle // 2 + 1))
+    for e in report.entries:
+        assert type(e.det) is Fraction
+        assert e.det == det_direct(rp, e.k, [form] * (rp.socle - 2 * e.k))
+        assert e.nonzero is (e.det != 0)
+    # every hook-content factor is positive, so only a zero coordinate can fail
+    assert report.holds is (form.a != 0 and form.b != 0)
+
+
+@pytest.mark.parametrize("k", [3, -1, "1"])
+def test_power_raises_the_one_cell_rule(k):
+    rp = RingParams(2, 2)
+    with pytest.raises(ValueError):
+        det_power(rp, k, F(1, 1))
 
 
 # --- literal case audit ------------------------------------------------------

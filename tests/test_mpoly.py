@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import lefdet
 from lefdet.formulas import SplitForms, det_closed_form, det_schur_expansion, symbolic_forms
-from lefdet.mpoly import FIELD, MAX_EXPONENT, MultiPoly, render
+from lefdet.mpoly import FIELD, MAX_EXPONENT, MultiPoly, parse_int, render
 from lefdet.ring import RingParams, det_direct
 
 
@@ -310,6 +310,7 @@ EXACTNESS_BOUNDARIES = {
     "det_laplace": ("exact", "det_laplace(ExactMatrix(1, 1, [v]))"),
     "minor_det": ("int", "minor_det(ExactMatrix(1, 1, [3]), (v,), (0,))"),
     "symbolic_forms": ("int", "symbolic_forms(v)"),
+    "det_power": ("int", "det_power(RingParams(2, 2), v, LinearForm(1, 1))"),
 }
 
 HELPERS = ("require_int", "require_rational", "require_exact")
@@ -364,3 +365,10 @@ def test_exactness_script_reports_a_boundary_that_accepts_floats():
     assert _exactness_run({"abs": ("exact", "abs(v)")}) == [
         "abs at 0.5: 0.5", "abs at True: 1"
     ]
+
+
+def test_parse_int_reads_only_ascii_digits_with_a_sign():
+    assert [parse_int(t) for t in ("0", "+7", " -12 ", "007")] == [0, 7, -12, 7]
+    for spelling in ("", "+", "1_0", "\u0662", "1.0", "1e2", "0x1", "1 2", "9" * 5000):
+        with pytest.raises(ValueError):
+            parse_int(spelling)

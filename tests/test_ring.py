@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lefdet.formulas import SplitForms, det_schur_expansion, symbolic_forms
+from lefdet.formulas import SplitForms, det_schur_expansion, slp_check, symbolic_forms
 from lefdet.linalg import ExactMatrix, det_bareiss, det_laplace
 from lefdet.mpoly import MultiPoly
 from lefdet.ring import (
@@ -17,7 +17,6 @@ from lefdet.ring import (
     mult_matrix,
     mult_matrix_block,
     product_coefficients,
-    slp_check,
 )
 from lefdet.symfunc import elementary
 
