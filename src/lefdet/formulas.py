@@ -17,6 +17,14 @@ coefficients alike.
 product, the u = d+q-2k degeneration of the expansion.  The determinant does
 not depend on how the forms are split, so the closed form applies at every u.
 
+Each E_m(a; b) has degree 1 in every form's pair (a_t, b_t), so a
+Jacobi-Trudi determinant over r rows has degree r in each.  For rational
+forms the closed form and the literal audit therefore run on the primitive
+integer pairs of ``ring.primitive_forms`` and divide once by scale^r, as
+``det_direct`` does; the values are the same ``Fraction``s.  The expansion
+evaluates each term on the rational pairs, and ``MultiPoly`` forms take the
+generic path everywhere.
+
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
 determinant factors as a^(WH) b^((n-W)H) times the number of semistandard
@@ -43,7 +51,15 @@ from math import perm, prod
 
 from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, enumerate_in_rectangle, rectangle
-from .ring import LinearForm, RingParams, check_cell, det_direct, dim, form_pair
+from .ring import (
+    LinearForm,
+    RingParams,
+    check_cell,
+    det_direct,
+    dim,
+    form_pair,
+    primitive_forms,
+)
 from .symfunc import HomogPair, schur, schur_homog
 
 
@@ -142,12 +158,32 @@ def det_closed_form(rp: RingParams, k: int, forms):
 
     For k <= q the rectangle is (d-k) wide and k+1 tall; for k >= q it is
     (d+q-2k) wide and q+1 tall.  Division-free, so it matches ``det_direct``
-    on every input, zero coefficients included.
+    on every input, zero coefficients included.  The value has degree
+    ``height`` in each form's pair, so rational forms are evaluated on their
+    primitive integer pairs and divided once by scale^height, a ``Fraction``.
     """
     forms = tuple(forms)
     check_cell(rp, k, len(forms))
     width, height = _rectangle_sides(rp, k)
-    return schur_homog(rectangle(width, height), form_pair(forms), rows=height)
+    shape = rectangle(width, height)
+    scaled = primitive_forms(forms)
+    if scaled is None:
+        return schur_homog(shape, form_pair(forms), rows=height)
+    primitive, scale = scaled
+    return schur_homog(shape, form_pair(primitive), rows=height) / scale**height
+
+
+def _rectangle_tableaux(n: int, rows: int, length: int) -> int:
+    """Semistandard tableaux with ``rows`` rows of length ``length``, entries <= n.
+
+    The count is invariant under rows -> n - rows (the rectangle's complement
+    in the n-row box), so callers pass the shorter of the two.
+    """
+    count = 1
+    for i in range(rows):
+        # perm(m, L) = m!/(m-L)!; each quotient is exact, the count for i+1 rows
+        count = count * perm(n - i + length - 1, length) // perm(i + length, length)
+    return count
 
 
 def det_power(rp: RingParams, k: int, form: LinearForm):
@@ -156,20 +192,18 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
     With n = d+q-2k, form = ax + by and (W, H) the closed form's rectangle,
     the value is a^(WH) * b^((n-W)H) * N, where
     N = prod_{i<W} (n-i+H-1)! i! / ((n-i-1)! (i+H)!) counts the semistandard
-    tableaux with W rows of length H and entries at most n.  Every
-    hook-content factor is positive, so N > 0 and the determinant is zero
-    exactly when a = 0 with W > 0 or b = 0 with n > W.  Division-free in a
-    and b, so it serves symbolic coefficients too; like ``det_direct`` it
-    returns a ``Fraction`` for rational forms.
+    tableaux with W rows of length H and entries at most n.  The complement
+    rectangle, n-W rows of length H, has the same count, so the product runs
+    over min(W, n-W) rows.  Every hook-content factor is positive, so N > 0
+    and the determinant is zero exactly when a = 0 with W > 0 or b = 0 with
+    n > W.  Division-free in a and b, so it serves symbolic coefficients too;
+    like ``det_direct`` it returns a ``Fraction`` for rational forms.
     """
     require_int("degree", k)
     n = rp.socle - 2 * k
     check_cell(rp, k, n)
     width, height = _rectangle_sides(rp, k)
-    tableaux = 1
-    for i in range(width):
-        # perm(m, H) = m!/(m-H)!; each quotient is exact, the count for i+1 rows
-        tableaux = tableaux * perm(n - i + height - 1, height) // perm(i + height, height)
+    tableaux = _rectangle_tableaux(n, min(width, n - width), height)
     value = form.a ** (width * height) * form.b ** ((n - width) * height) * tableaux
     return value if isinstance(value, MultiPoly) else Fraction(value)
 
@@ -217,6 +251,10 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     for a rectangle complement that does not exist (a part exceeding d);
     such summands are skipped and counted in ``skipped_terms``.
 
+    Every product of a check and a hat value over ``rows`` rows has degree
+    ``rows`` in each form's pair, so rational forms are evaluated on their
+    primitive integer pairs and each case divides once by scale^rows.
+
     The returned values are NOT ground truth: only the fully-checked trivial
     split (hat empty, case 1 or the closed form) matches ``det_direct`` in
     general.  Compare via ``discrepancy_report``.
@@ -229,15 +267,20 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     alpha_hat = prod(f.a for f in sf.hat)
     if beta_check == 0 or alpha_hat == 0:
         raise ValueError("literal case formula undefined: a group product vanishes")
-    check_pair = sf.check_pair()
-    hat_pair = sf.hat_pair()
+    scaled = primitive_forms(sf.all_forms)
+    evaluated = sf if scaled is None else SplitForms.split(scaled[0], u)
+    check_pair = evaluated.check_pair()
+    hat_pair = evaluated.hat_pair()
     cases = []
+
+    def unscale(value, rows):
+        return value if scaled is None else value / scaled[1] ** rows
 
     if q <= k:
         value = schur_homog(rectangle(u, q + 1), check_pair, rows=q + 1) * schur_homog(
             rectangle(v, q + 1), hat_pair, rows=q + 1
         )
-        cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value, 0))
+        cases.append(LiteralCase(1, "q <= k <= (q+d)/2", unscale(value, q + 1), 0))
 
     def box_sum(width, first_pair, second_pair):
         # sum of s_lam(first) * s_mu(second) over lam in the width x (k+1) box,
@@ -251,7 +294,7 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
             value = value + schur_homog(lam, first_pair, rows=k + 1) * schur_homog(
                 mu, second_pair, rows=k + 1
             )
-        return value, skipped
+        return unscale(value, k + 1), skipped
 
     if k + u <= q:
         cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_pair, hat_pair)))

@@ -11,6 +11,11 @@ which pins down every determinant sign.  A monomial whose x-exponent exceeds
 d or whose y-exponent exceeds q is dead and stays dead under further
 multiplication by linear forms, so the one-shot product matrix equals the
 ordered product of the single-form matrices.
+
+``primitive_forms`` is the package's one step from rational forms to
+primitive integer pairs and the scale that undoes it.  ``det_direct`` builds
+and reduces its matrix in ``int`` after it, and the closed form and the
+literal audit in ``formulas`` evaluate on the same integer pairs.
 """
 
 from __future__ import annotations
@@ -167,23 +172,19 @@ def check_cell(rp: RingParams, k: int, nforms: int) -> None:
         )
 
 
-def det_direct(rp: RingParams, k: int, forms):
-    """Brute-force determinant of multiplication by d+q-2k linear forms on degree k.
+def primitive_forms(forms) -> tuple[tuple[LinearForm, ...], Fraction] | None:
+    """Rational forms as primitive integer pairs, with the scale that undoes it.
 
-    This is the artifact-wide ground truth; dimension symmetry makes the map
-    square exactly when the number of forms is d+q-2k.
-
-    The determinant is homogeneous of degree dim(R_k) in each pair (a_t, b_t).
-    So rational forms are first scaled to primitive integer pairs,
-    (A_t, B_t) = s_t * (a_t, b_t) with s_t = lcm(denominators) / gcd(numerators),
-    the matrix is built and reduced in ``int`` only, and the result is
-    det / prod(s_t)^dim(R_k), a ``Fraction``.  ``MultiPoly`` forms take the
-    generic path.
+    Form t becomes (A_t, B_t) = s_t * (a_t, b_t), with
+    s_t = lcm(denominators) / gcd(numerators) > 0, and scale = prod(s_t).  A
+    value of degree r in every pair (a_t, b_t) is its value on the integer
+    forms divided by scale**r, so each route can run in ``int`` and divide once.
+    Returns None when some coefficient is not an ``int`` or a ``Fraction``:
+    ``MultiPoly`` forms take the generic path.
     """
     forms = tuple(forms)
-    check_cell(rp, k, len(forms))
     if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
-        return det(mult_matrix_block(rp, forms, k))
+        return None
     scale = Fraction(1)
     primitive = []
     for f in forms:
@@ -196,5 +197,25 @@ def det_direct(rp: RingParams, k: int, forms):
                 f.b.numerator * (den // f.b.denominator) // g,
             )
         )
-    return det(mult_matrix_block(rp, primitive, k)) / scale ** dim(rp, k)
+    return tuple(primitive), scale
 
+
+def det_direct(rp: RingParams, k: int, forms):
+    """Brute-force determinant of multiplication by d+q-2k linear forms on degree k.
+
+    This is the artifact-wide ground truth; dimension symmetry makes the map
+    square exactly when the number of forms is d+q-2k.
+
+    The determinant is homogeneous of degree dim(R_k) in each pair (a_t, b_t).
+    So rational forms are first scaled to primitive integer pairs
+    (``primitive_forms``), the matrix is built and reduced in ``int`` only, and
+    the result is det / scale^dim(R_k), a ``Fraction``.  ``MultiPoly`` forms
+    take the generic path.
+    """
+    forms = tuple(forms)
+    check_cell(rp, k, len(forms))
+    scaled = primitive_forms(forms)
+    if scaled is None:
+        return det(mult_matrix_block(rp, forms, k))
+    primitive, scale = scaled
+    return det(mult_matrix_block(rp, primitive, k)) / scale ** dim(rp, k)

@@ -532,6 +532,20 @@ GOLDEN = [
         ["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],
         0, "f82f0e5788882693e242fb6f24125ca0005fbef26e3d82fe5d6e5ca5c128de69",
     ),
+    (
+        ["det", "--d", "7", "--q", "5", "--k", "2", "--method", "closed",
+         "--forms=3,-1/2;0,5;-7/4,2;6,0;1/3,-9/7;-2,-3;5/6,1;4,-11/10"],
+        0, "a3608567236cdf7ce1ff7e5b1a1df90566c5c4a16452919d186130d94a2057f2",
+    ),
+    (
+        ["report", "--d", "2", "--q", "2", "--k", "0", "--u", "4",
+         "--forms=3/2,-1/4;5,2/3;-7/5,1/6;2,9/7"],
+        0, "ba5baf91417983a645de19254d52c85146b397218005b8b132bf111f423d9ec7",
+    ),
+    (
+        ["report", "--d", "4", "--q", "2", "--k", "2", "--u", "1", "--forms=3/2,-1/4;5,2/3"],
+        0, "ff213fce7dd69d105f5219e858e96520427ebad9834748c6cbb34626207016eb",
+    ),
 ]
 
 
@@ -539,7 +553,8 @@ GOLDEN = [
     "argv,code,digest", GOLDEN,
     ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion",
          "slp-rational", "slp-zero-dets", "det-direct-mixed", "duality", "schur",
-         "duality-complement"],
+         "duality-complement", "det-closed-mixed", "report-case3-skips",
+         "report-cases-1-4"],
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from lefdet.formulas import (
     SplitForms,
+    _rectangle_tableaux,
     complement_identity_check,
     det_closed_form,
     det_literal_cases,
@@ -19,8 +20,8 @@ from lefdet.formulas import (
 )
 from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle, rectangle
-from lefdet.ring import LinearForm, RingParams, det_direct
-from lefdet.symfunc import schur, schur_jacobi_trudi
+from lefdet.ring import LinearForm, RingParams, det_direct, form_pair
+from lefdet.symfunc import schur, schur_homog, schur_jacobi_trudi
 
 
 def F(a, b):
@@ -210,6 +211,32 @@ def test_closed_form_agrees_with_direct_including_zero_coordinates():
                     assert det_closed_form(rp, k, forms) == det_direct(rp, k, forms)
 
 
+@st.composite
+def closed_form_cells(draw):
+    """A cell with d+q <= 12 and forms with int or Fraction coordinates, one may be zero."""
+    q = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=q, max_value=12 - q))
+    k = draw(st.integers(min_value=0, max_value=(d + q) // 2))
+    coeff = st.one_of(
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+    )
+    pairs = draw(st.lists(
+        st.tuples(coeff, coeff).filter(lambda ab: ab != (0, 0)),
+        min_size=d + q - 2 * k, max_size=d + q - 2 * k,
+    ))
+    return RingParams(d, q), k, [LinearForm(a, b) for a, b in pairs]
+
+
+@given(closed_form_cells())
+def test_closed_form_on_integer_pairs_equals_the_rational_pair_evaluation(cell):
+    rp, k, forms = cell
+    width, height = (rp.d - k, k + 1) if k <= rp.q else (rp.socle - 2 * k, rp.q + 1)
+    got = det_closed_form(rp, k, forms)
+    assert type(got) is Fraction
+    assert got == schur_homog(rectangle(width, height), form_pair(forms), rows=height)
+
+
 def test_closed_form_size_validation():
     with pytest.raises(ValueError):
         det_closed_form(RingParams(2, 2), 1, [F(1, 1)])
@@ -275,6 +302,16 @@ def test_slp_scan_equals_direct_and_holds_exactly_when_ab_is_nonzero(case):
         assert e.nonzero is (e.det != 0)
     # every hook-content factor is positive, so only a zero coordinate can fail
     assert report.holds is (form.a != 0 and form.b != 0)
+
+
+def test_tableau_count_is_the_same_over_a_rectangle_and_its_complement():
+    # det_power counts over min(W, n-W) rows; the W-row loop must give the same
+    for n in range(41):
+        for width in range(n + 1):
+            for height in range(n + 1):
+                assert _rectangle_tableaux(n, width, height) == _rectangle_tableaux(
+                    n, n - width, height
+                ), (n, width, height)
 
 
 @pytest.mark.parametrize("k", [3, -1, "1"])
@@ -352,6 +389,66 @@ def test_literal_case_3_skips_oversized_complements():
     sf = SplitForms.split(forms, 3)
     cases = {c.case_id: c for c in det_literal_cases(rp, 0, sf)}
     assert cases[3].skipped_terms > 0
+
+
+def literal_cases_on_rational_pairs(rp, k, sf):
+    """Reference: the audit's displayed formulas on ``sf.check_pair()`` and
+    ``sf.hat_pair()`` themselves, as (case_id, value, skipped_terms)."""
+    d, q, u, v = rp.d, rp.q, sf.u, len(sf.hat)
+    if prod(f.b for f in sf.check) == 0 or prod(f.a for f in sf.hat) == 0:
+        raise ValueError("literal case formula undefined: a group product vanishes")
+    check_pair, hat_pair = sf.check_pair(), sf.hat_pair()
+    cases = []
+    if q <= k:
+        value = schur_homog(rectangle(u, q + 1), check_pair, rows=q + 1) * schur_homog(
+            rectangle(v, q + 1), hat_pair, rows=q + 1
+        )
+        cases.append((1, value, 0))
+
+    def box_sum(width, first_pair, second_pair):
+        value, skipped = Fraction(0), 0
+        for lam in enumerate_in_rectangle(width, k + 1):
+            if lam.part(0) > d:
+                skipped += 1
+                continue
+            mu = lam.complement(d, k + 1)
+            value += schur_homog(lam, first_pair, rows=k + 1) * schur_homog(
+                mu, second_pair, rows=k + 1
+            )
+        return value, skipped
+
+    if k + u <= q:
+        cases.append((2, *box_sum(u, check_pair, hat_pair)))
+    if k <= q and d <= k + u:
+        cases.append((3, *box_sum(u, hat_pair, check_pair)))
+    if k <= q <= k + u <= d:
+        cases.append((4, *box_sum(q - k, check_pair, hat_pair)))
+    return cases
+
+
+def test_literal_cases_on_integer_pairs_equal_the_rational_pair_evaluation():
+    rng = random.Random(28)
+    defined = undefined = 0
+    for s in range(2, 10):
+        for q in range(1, s // 2 + 1):
+            rp = RingParams(s - q, q)
+            for k in range(s // 2 + 1):
+                n = s - 2 * k
+                for u in range(n + 1):
+                    for allow_zero in (False, True):
+                        sf = SplitForms.split(random_forms(rng, n, allow_zero), u)
+                        try:
+                            expected = literal_cases_on_rational_pairs(rp, k, sf)
+                        except ValueError as exc:
+                            with pytest.raises(ValueError, match=str(exc)):
+                                det_literal_cases(rp, k, sf)
+                            undefined += 1
+                            continue
+                        got = [(c.case_id, c.value, c.skipped_terms)
+                               for c in det_literal_cases(rp, k, sf)]
+                        assert got == expected, (rp, k, u, sf)
+                        defined += 1
+    assert defined > 0 and undefined > 0
 
 
 # --- duality identities ------------------------------------------------------
