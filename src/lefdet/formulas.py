@@ -17,13 +17,10 @@ coefficients alike.
 product, the u = d+q-2k degeneration of the expansion.  The determinant does
 not depend on how the forms are split, so the closed form applies at every u.
 
-Each E_m(a; b) has degree 1 in every form's pair (a_t, b_t), so a
-Jacobi-Trudi determinant over r rows has degree r in each.  For rational
-forms the closed form and the literal audit therefore run on the primitive
-integer pairs of ``ring.primitive_forms`` and divide once by scale^r, as
-``det_direct`` does; the values are the same ``Fraction``s.  The expansion
-evaluates each term on the rational pairs, and ``MultiPoly`` forms take the
-generic path everywhere.
+The closed form and the literal audit, like ``det_direct``, evaluate on the
+forms of ``ring.scaled_forms`` and multiply by its one factor; its docstring
+says why one factor serves every route.  Rational forms thus run in ``int``.
+The expansion evaluates each term on the forms as given.
 
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
@@ -58,7 +55,7 @@ from .ring import (
     det_direct,
     dim,
     form_pair,
-    primitive_forms,
+    scaled_forms,
 )
 from .symfunc import HomogPair, schur, schur_homog
 
@@ -158,19 +155,14 @@ def det_closed_form(rp: RingParams, k: int, forms):
 
     For k <= q the rectangle is (d-k) wide and k+1 tall; for k >= q it is
     (d+q-2k) wide and q+1 tall.  Division-free, so it matches ``det_direct``
-    on every input, zero coefficients included.  The value has degree
-    ``height`` in each form's pair, so rational forms are evaluated on their
-    primitive integer pairs and divided once by scale^height, a ``Fraction``.
+    on every input, zero coefficients included.  Evaluated on
+    ``scaled_forms``' forms, times its factor.
     """
     forms = tuple(forms)
     check_cell(rp, k, len(forms))
     width, height = _rectangle_sides(rp, k)
-    shape = rectangle(width, height)
-    scaled = primitive_forms(forms)
-    if scaled is None:
-        return schur_homog(shape, form_pair(forms), rows=height)
-    primitive, scale = scaled
-    return schur_homog(shape, form_pair(primitive), rows=height) / scale**height
+    scaled, factor = scaled_forms(rp, k, forms)
+    return schur_homog(rectangle(width, height), form_pair(scaled), rows=height) * factor
 
 
 def _rectangle_tableaux(n: int, rows: int, length: int) -> int:
@@ -251,9 +243,8 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     for a rectangle complement that does not exist (a part exceeding d);
     such summands are skipped and counted in ``skipped_terms``.
 
-    Every product of a check and a hat value over ``rows`` rows has degree
-    ``rows`` in each form's pair, so rational forms are evaluated on their
-    primitive integer pairs and each case divides once by scale^rows.
+    Each case is evaluated on the split of ``scaled_forms``' forms, times its
+    factor.
 
     The returned values are NOT ground truth: only the fully-checked trivial
     split (hat empty, case 1 or the closed form) matches ``det_direct`` in
@@ -263,24 +254,19 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     d, q = rp.d, rp.q
     u = sf.u
     v = len(sf.hat)
-    beta_check = prod(f.b for f in sf.check)
-    alpha_hat = prod(f.a for f in sf.hat)
-    if beta_check == 0 or alpha_hat == 0:
+    if any(f.b == 0 for f in sf.check) or any(f.a == 0 for f in sf.hat):
         raise ValueError("literal case formula undefined: a group product vanishes")
-    scaled = primitive_forms(sf.all_forms)
-    evaluated = sf if scaled is None else SplitForms.split(scaled[0], u)
+    scaled, factor = scaled_forms(rp, k, sf.all_forms)
+    evaluated = SplitForms.split(scaled, u)
     check_pair = evaluated.check_pair()
     hat_pair = evaluated.hat_pair()
     cases = []
-
-    def unscale(value, rows):
-        return value if scaled is None else value / scaled[1] ** rows
 
     if q <= k:
         value = schur_homog(rectangle(u, q + 1), check_pair, rows=q + 1) * schur_homog(
             rectangle(v, q + 1), hat_pair, rows=q + 1
         )
-        cases.append(LiteralCase(1, "q <= k <= (q+d)/2", unscale(value, q + 1), 0))
+        cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value * factor, 0))
 
     def box_sum(width, first_pair, second_pair):
         # sum of s_lam(first) * s_mu(second) over lam in the width x (k+1) box,
@@ -294,7 +280,7 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
             value = value + schur_homog(lam, first_pair, rows=k + 1) * schur_homog(
                 mu, second_pair, rows=k + 1
             )
-        return unscale(value, k + 1), skipped
+        return value * factor, skipped
 
     if k + u <= q:
         cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_pair, hat_pair)))

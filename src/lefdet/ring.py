@@ -12,10 +12,11 @@ d or whose y-exponent exceeds q is dead and stays dead under further
 multiplication by linear forms, so the one-shot product matrix equals the
 ordered product of the single-form matrices.
 
-``primitive_forms`` is the package's one step from rational forms to
-primitive integer pairs and the scale that undoes it.  ``det_direct`` builds
-and reduces its matrix in ``int`` after it, and the closed form and the
-literal audit in ``formulas`` evaluate on the same integer pairs.
+``scaled_forms`` is the package's one step from rational forms to
+primitive integer pairs, and it owns the one factor that undoes it (its
+docstring states the degree fact behind that factor).  ``det_direct`` builds
+and reduces its matrix in ``int`` on those pairs, and the closed form and the
+literal audit in ``formulas`` evaluate on them too.
 """
 
 from __future__ import annotations
@@ -172,19 +173,23 @@ def check_cell(rp: RingParams, k: int, nforms: int) -> None:
         )
 
 
-def primitive_forms(forms) -> tuple[tuple[LinearForm, ...], Fraction] | None:
-    """Rational forms as primitive integer pairs, with the scale that undoes it.
+def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...], Fraction | int]:
+    """The forms to evaluate a cell on, with the one factor that undoes the scaling.
 
-    Form t becomes (A_t, B_t) = s_t * (a_t, b_t), with
-    s_t = lcm(denominators) / gcd(numerators) > 0, and scale = prod(s_t).  A
-    value of degree r in every pair (a_t, b_t) is its value on the integer
-    forms divided by scale**r, so each route can run in ``int`` and divide once.
-    Returns None when some coefficient is not an ``int`` or a ``Fraction``:
-    ``MultiPoly`` forms take the generic path.
+    Multiplication by l_1 ... l_(d+q-2k) on R_k has a determinant that is
+    homogeneous of degree dim(R_k) in each pair (a_t, b_t), and so is every
+    formula for it here: the closed form's rectangle height and the row count
+    of every literal audit case both equal dim(R_k).  Rational form t becomes
+    the primitive integer pair s_t * (a_t, b_t), with
+    s_t = lcm(denominators) / gcd(numerators) > 0, and
+    factor = 1 / prod(s_t)**dim(R_k), a ``Fraction``; any such value is its
+    value on the returned forms times ``factor``.  When some coefficient is
+    not an ``int`` or a ``Fraction`` (``MultiPoly`` forms) the forms come back
+    unchanged with the ``int`` factor 1.  Call it after ``check_cell``.
     """
     forms = tuple(forms)
     if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
-        return None
+        return forms, 1
     scale = Fraction(1)
     primitive = []
     for f in forms:
@@ -197,25 +202,18 @@ def primitive_forms(forms) -> tuple[tuple[LinearForm, ...], Fraction] | None:
                 f.b.numerator * (den // f.b.denominator) // g,
             )
         )
-    return tuple(primitive), scale
+    return tuple(primitive), 1 / scale ** dim(rp, k)
 
 
 def det_direct(rp: RingParams, k: int, forms):
     """Brute-force determinant of multiplication by d+q-2k linear forms on degree k.
 
     This is the artifact-wide ground truth; dimension symmetry makes the map
-    square exactly when the number of forms is d+q-2k.
-
-    The determinant is homogeneous of degree dim(R_k) in each pair (a_t, b_t).
-    So rational forms are first scaled to primitive integer pairs
-    (``primitive_forms``), the matrix is built and reduced in ``int`` only, and
-    the result is det / scale^dim(R_k), a ``Fraction``.  ``MultiPoly`` forms
-    take the generic path.
+    square exactly when the number of forms is d+q-2k.  The matrix is built on
+    ``scaled_forms``' forms, so rational input is reduced in ``int`` only and
+    returns a ``Fraction``.
     """
     forms = tuple(forms)
     check_cell(rp, k, len(forms))
-    scaled = primitive_forms(forms)
-    if scaled is None:
-        return det(mult_matrix_block(rp, forms, k))
-    primitive, scale = scaled
-    return det(mult_matrix_block(rp, primitive, k)) / scale ** dim(rp, k)
+    scaled, factor = scaled_forms(rp, k, forms)
+    return det(mult_matrix_block(rp, scaled, k)) * factor

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from lefdet.formulas import (
     SplitForms,
+    _rectangle_sides,
     _rectangle_tableaux,
     complement_identity_check,
     det_closed_form,
@@ -20,7 +21,7 @@ from lefdet.formulas import (
 )
 from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle, rectangle
-from lefdet.ring import LinearForm, RingParams, det_direct, form_pair
+from lefdet.ring import LinearForm, RingParams, det_direct, dim, form_pair, scaled_forms
 from lefdet.symfunc import schur, schur_homog, schur_jacobi_trudi
 
 
@@ -449,6 +450,69 @@ def test_literal_cases_on_integer_pairs_equal_the_rational_pair_evaluation():
                         assert got == expected, (rp, k, u, sf)
                         defined += 1
     assert defined > 0 and undefined > 0
+
+
+def test_closed_form_height_and_audit_rows_equal_dim_rk():
+    # the one exponent in scaled_forms' factor: every route that multiplies by
+    # it has dim(R_k) rows
+    triples = 0
+    for s in range(2, 41):
+        for q in range(1, s // 2 + 1):
+            d = s - q
+            rp = RingParams(d, q)
+            for k in range(s // 2 + 1):
+                rows = dim(rp, k)
+                assert _rectangle_sides(rp, k)[1] == rows
+                for u in range(s - 2 * k + 1):
+                    if q <= k:
+                        assert q + 1 == rows
+                    if k + u <= q or k <= q <= d <= k + u or k <= q <= k + u <= d:
+                        assert k + 1 == rows
+                triples += 1
+    assert triples == 5740
+
+
+def test_every_route_is_its_value_on_the_scaled_forms_times_the_factor():
+    rng = random.Random(15)
+    undefined = 0
+    for s in range(2, 10):
+        for q in range(1, s // 2 + 1):
+            rp = RingParams(s - q, q)
+            for k in range(s // 2 + 1):
+                n = s - 2 * k
+                for allow_zero in (False, True):
+                    forms = random_forms(rng, n, allow_zero)
+                    scaled, factor = scaled_forms(rp, k, forms)
+                    assert all(type(c) is int for f in scaled for c in (f.a, f.b))
+                    assert det_direct(rp, k, forms) == det_direct(rp, k, scaled) * factor
+                    assert det_closed_form(rp, k, forms) == det_closed_form(rp, k, scaled) * factor
+                    for u in range(n + 1):
+                        sf, scaled_sf = SplitForms.split(forms, u), SplitForms.split(scaled, u)
+                        terms = det_schur_expansion(rp, k, sf).terms
+                        scaled_terms = det_schur_expansion(rp, k, scaled_sf).terms
+                        assert [t.value for t in terms] == [t.value * factor for t in scaled_terms]
+                        try:
+                            cases = det_literal_cases(rp, k, sf)
+                        except ValueError:
+                            with pytest.raises(ValueError, match="undefined"):
+                                det_literal_cases(rp, k, scaled_sf)
+                            undefined += 1
+                            continue
+                        scaled_cases = det_literal_cases(rp, k, scaled_sf)
+                        assert [(c.case_id, c.value) for c in cases] == [
+                            (c.case_id, c.value * factor) for c in scaled_cases
+                        ]
+    assert undefined > 0
+
+
+def test_literal_cases_undefined_rule_on_symbolic_forms():
+    forms, _ = symbolic_forms(2)
+    rp = RingParams(2, 2)
+    assert det_literal_cases(rp, 1, SplitForms.split(forms, 1))
+    with pytest.raises(ValueError, match="undefined"):
+        det_literal_cases(rp, 1, SplitForms([LinearForm(forms[0].a, 0)], forms[1:]))
+    with pytest.raises(ValueError, match="undefined"):
+        det_literal_cases(rp, 1, SplitForms(forms[:1], [LinearForm(0, forms[1].b)]))
 
 
 # --- duality identities ------------------------------------------------------

@@ -17,6 +17,7 @@ from lefdet.ring import (
     mult_matrix,
     mult_matrix_block,
     product_coefficients,
+    scaled_forms,
 )
 from lefdet.symfunc import elementary
 
@@ -362,3 +363,25 @@ def test_integer_route_agrees_with_laplace_on_the_rational_block(case):
     value = det_direct(rp, k, forms)
     assert type(value) is Fraction
     assert value == det_laplace(mult_matrix_block(rp, forms, k))
+
+
+def test_scaled_forms_returns_symbolic_forms_unchanged_with_the_int_factor_one():
+    # n >= 1: an empty list has no symbolic coefficient and takes the rational path
+    for n in range(1, 6):
+        forms, _ = symbolic_forms(n)
+        # n forms make a square cell on degree 1 of (n+1, 1)
+        scaled, factor = scaled_forms(RingParams(n + 1, 1), 1, forms)
+        assert scaled == tuple(forms)
+        assert all(s is f for s, f in zip(scaled, forms))
+        assert type(factor) is int and factor == 1
+
+
+def test_scaled_forms_makes_primitive_integer_pairs_and_one_factor():
+    rp, k = RingParams(3, 2), 1
+    forms = [F("3/2", "-9/4"), LinearForm(4, 6), F(0, "5/7")]
+    scaled, factor = scaled_forms(rp, k, forms)
+    assert scaled == (LinearForm(2, -3), LinearForm(2, 3), LinearForm(0, 1))
+    assert all(type(c) is int for f in scaled for c in (f.a, f.b))
+    # s_t = 4/3, 1/2, 7/5 and dim(R_1) = 2
+    assert type(factor) is Fraction
+    assert factor == 1 / (Fraction(4, 3) * Fraction(1, 2) * Fraction(7, 5)) ** 2
