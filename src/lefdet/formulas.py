@@ -37,6 +37,16 @@ group's entry law mirrors through a, not b, and the four case statements do
 not account for that.  ``discrepancy_report`` computes every route side by
 side as one ``CellRecord``, so the disagreement is documented evidence,
 never silently trusted.
+
+Audit cases 2-4 are box sums: over the partitions lam of a width x r box,
+r = k+1, the sum of s_lam(first) s_mu(second), mu the complement of lam in
+the d x r box.  Both Jacobi-Trudi factors are maximal minors of Toeplitz
+matrices in the E-values (Bump and Diaconis, "Toeplitz minors", J. Combin.
+Theory A 97, 2002; Macdonald I.3), taken on the same row set
+{lam_i + k - i}, so Cauchy-Binet gives the whole sum as one r x r
+determinant det(P^T Q), with no Schur value per partition.  A lam wider
+than d meets an all-zero row of Q, which is exactly the audit's rule that
+such a summand is skipped.
 """
 
 from __future__ import annotations
@@ -44,20 +54,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import perm, prod
+from math import comb, perm, prod
 
+from .linalg import ExactMatrix, det
 from .mpoly import MultiPoly, require_int, require_rational
-from .partitions import Partition, enumerate_in_rectangle, rectangle
+from .partitions import Partition, rectangle
 from .ring import (
     LinearForm,
     RingParams,
     check_cell,
     det_direct,
     dim,
-    form_pair,
     scaled_forms,
 )
 from .symfunc import HomogPair, schur, schur_homog
+
+
+def form_pair(forms) -> HomogPair:
+    """The pair ((a_t); (b_t)) of a form list: x-side against y-side coefficients."""
+    forms = tuple(forms)
+    return HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
 
 
 @dataclass(frozen=True)
@@ -243,6 +259,16 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     for a rectangle complement that does not exist (a part exceeding d);
     such summands are skipped and counted in ``skipped_terms``.
 
+    Cases 2-4 sum s_lam(first) * s_mu(second) over lam in a width x r box,
+    r = k+1, with mu the complement of lam in the d x r box.  With c running
+    over 0..width+k, P[c][j] = E_first[c-k+j] and Q[c][j] = E_second[d+k-c-j]
+    (zero outside the pair's table); the rows c_i = lam_i + k - i of P are
+    lam's Jacobi-Trudi matrix, and the same rows of Q are mu's with both
+    indices reversed, so no sign appears.  By Cauchy-Binet the box sum is
+    det(P^T Q).  A lam with lam_0 > d gives the row d - lam_0 - j < 0 of Q,
+    all zero, so the skipped summands contribute nothing and number
+    C(width+r, r) - C(min(width, d)+r, r).
+
     Each case is evaluated on the split of ``scaled_forms``' forms, times its
     factor.
 
@@ -269,18 +295,17 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
         cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value * factor, 0))
 
     def box_sum(width, first_pair, second_pair):
-        # sum of s_lam(first) * s_mu(second) over lam in the width x (k+1) box,
-        # mu its complement in the d x (k+1) box; a lam wider than d is skipped
-        value, skipped = 0, 0
-        for lam in enumerate_in_rectangle(width, k + 1):
-            if lam.part(0) > d:
-                skipped += 1
-                continue
-            mu = lam.complement(d, k + 1)
-            value = value + schur_homog(lam, first_pair, rows=k + 1) * schur_homog(
-                mu, second_pair, rows=k + 1
-            )
-        return value * factor, skipped
+        # det(P^T Q) by Cauchy-Binet, P and Q as in the docstring
+        r, first, second = k + 1, first_pair.table(), second_pair.table()
+
+        def at(table, m):
+            return table[m] if 0 <= m < len(table) else 0
+
+        rows = range(width + r)
+        pt = ExactMatrix(r, len(rows), [at(first, c - k + j) for j in range(r) for c in rows])
+        qm = ExactMatrix(len(rows), r, [at(second, d + k - c - j) for c in rows for j in range(r)])
+        skipped = comb(width + r, r) - comb(min(width, d) + r, r)
+        return det(pt @ qm) * factor, skipped
 
     if k + u <= q:
         cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_pair, hat_pair)))

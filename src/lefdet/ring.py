@@ -27,7 +27,6 @@ from math import gcd, lcm
 
 from .linalg import ExactMatrix, det
 from .mpoly import require_exact, require_int
-from .symfunc import HomogPair
 
 
 @dataclass(frozen=True)
@@ -104,19 +103,23 @@ def dim(rp: RingParams, k: int) -> int:
     return min(rp.d, k) - max(0, k - rp.q) + 1
 
 
-def form_pair(forms) -> HomogPair:
-    """The pair ((a_t); (b_t)) of a form list: x-side against y-side coefficients."""
-    forms = tuple(forms)
-    return HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
-
-
 def product_coefficients(forms) -> list:
     """Coefficients of prod(a_t x + b_t y), indexed by y-exponent.
 
-    Entry i is E_{u-i}(a; b): choosing the x-part from a size-(u-i) subset of
-    the factors and the y-part from the rest.  The empty product gives [1].
+    Expanded one factor at a time from monomials: multiplying by a x + b y
+    keeps a term's y-exponent through a and raises it by one through b, so
+    c'[i] = a c[i] + b c[i-1].  Entry i is thus E_{u-i}(a; b), a choice of
+    the x-part from u-i of the factors and the y-part from the rest, but it
+    shares no code with ``HomogPair.table``, which the closed forms read.
+    The empty product gives [1].
     """
-    return list(reversed(form_pair(forms).table()))
+    coeffs: list = [1]
+    for f in forms:
+        coeffs.append(0)
+        for i in range(len(coeffs) - 1, 0, -1):
+            coeffs[i] = f.a * coeffs[i] + f.b * coeffs[i - 1]
+        coeffs[0] = f.a * coeffs[0]
+    return coeffs
 
 
 def mult_matrix(rp: RingParams, form: LinearForm, k: int) -> ExactMatrix:
@@ -190,19 +193,21 @@ def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...],
     forms = tuple(forms)
     if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
         return forms, 1
-    scale = Fraction(1)
+    dens = gcds = 1
     primitive = []
     for f in forms:
         den = lcm(f.a.denominator, f.b.denominator)
         g = gcd(f.a.numerator, f.b.numerator)
-        scale *= Fraction(den, g)
+        dens *= den
+        gcds *= g
         primitive.append(
             LinearForm(
                 f.a.numerator * (den // f.a.denominator) // g,
                 f.b.numerator * (den // f.b.denominator) // g,
             )
         )
-    return tuple(primitive), 1 / scale ** dim(rp, k)
+    power = dim(rp, k)
+    return tuple(primitive), Fraction(gcds**power, dens**power)
 
 
 def det_direct(rp: RingParams, k: int, forms):

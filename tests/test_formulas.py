@@ -16,12 +16,13 @@ from lefdet.formulas import (
     det_schur_expansion,
     discrepancy_report,
     duality_check,
+    form_pair,
     slp_check,
     symbolic_forms,
 )
 from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle, rectangle
-from lefdet.ring import LinearForm, RingParams, det_direct, dim, form_pair, scaled_forms
+from lefdet.ring import LinearForm, RingParams, det_direct, dim, scaled_forms
 from lefdet.symfunc import schur, schur_homog, schur_jacobi_trudi
 
 
@@ -513,6 +514,50 @@ def test_literal_cases_undefined_rule_on_symbolic_forms():
         det_literal_cases(rp, 1, SplitForms([LinearForm(forms[0].a, 0)], forms[1:]))
     with pytest.raises(ValueError, match="undefined"):
         det_literal_cases(rp, 1, SplitForms(forms[:1], [LinearForm(0, forms[1].b)]))
+
+
+def test_literal_box_sums_equal_the_per_partition_loop_as_polynomials():
+    # one Cauchy-Binet determinant per box sum against one Jacobi-Trudi pair
+    # per partition, on free coefficients: a polynomial identity for d+q <= 6
+    seen = set()
+    for s in range(2, 7):
+        for q in range(1, s // 2 + 1):
+            rp = RingParams(s - q, q)
+            for k in range(s // 2 + 1):
+                forms, _ = symbolic_forms(s - 2 * k)
+                for u in range(len(forms) + 1):
+                    sf = SplitForms.split(forms, u)
+                    got = [(c.case_id, c.value, c.skipped_terms)
+                           for c in det_literal_cases(rp, k, sf)]
+                    assert got == literal_cases_on_rational_pairs(rp, k, sf), (rp, k, u)
+                    seen.update(case_id for case_id, _, _ in got)
+    assert seen == {1, 2, 3, 4}
+
+
+def test_literal_skipped_terms_equal_the_enumerated_count():
+    # comb(width+r, r) - comb(min(width, d)+r, r) partitions of the width x r
+    # box are wider than d, for every (width, k, d) the audit reaches
+    counts = {}
+    for s in range(2, 15):
+        for q in range(1, s // 2 + 1):
+            d = s - q
+            rp = RingParams(d, q)
+            for k in range(s // 2 + 1):
+                n = s - 2 * k
+                for u in range(n + 1):
+                    sf = SplitForms.split([LinearForm(1, 1)] * n, u)
+                    for case in det_literal_cases(rp, k, sf):
+                        if case.case_id == 1:
+                            continue
+                        width = q - k if case.case_id == 4 else u
+                        key = (width, k, d)
+                        if key not in counts:
+                            counts[key] = sum(
+                                1 for lam in enumerate_in_rectangle(width, k + 1)
+                                if lam.part(0) > d
+                            )
+                        assert case.skipped_terms == counts[key], (rp, k, u, case.case_id)
+    assert any(counts.values())
 
 
 # --- duality identities ------------------------------------------------------
