@@ -20,7 +20,9 @@ not depend on how the forms are split, so the closed form applies at every u.
 The closed form and the literal audit, like ``det_direct``, evaluate on the
 forms of ``ring.scaled_forms`` and multiply by its one factor; its docstring
 says why one factor serves every route.  Rational forms thus run in ``int``.
-The expansion evaluates each term on the forms as given.
+``scaled_forms`` also applies the cell rule, so it is the one gate through
+which those three routes enter a cell.  The expansion evaluates each term on
+the forms as given, and so does ``det_power``; both call ``check_cell``.
 
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
@@ -36,7 +38,9 @@ mixed-split cases are KNOWN to disagree with the direct determinant: the hat
 group's entry law mirrors through a, not b, and the four case statements do
 not account for that.  ``discrepancy_report`` computes every route side by
 side as one ``CellRecord``, so the disagreement is documented evidence,
-never silently trusted.
+never silently trusted.  The record marks the audit undefined only for its
+one declared precondition, a vanishing group product
+(``LiteralCaseUndefined``); any other error in the audit reaches the caller.
 
 Audit cases 2-4 are box sums: over the partitions lam of a width x r box,
 r = k+1, the sum of s_lam(first) s_mu(second), mu the complement of lam in
@@ -174,10 +178,8 @@ def det_closed_form(rp: RingParams, k: int, forms):
     on every input, zero coefficients included.  Evaluated on
     ``scaled_forms``' forms, times its factor.
     """
-    forms = tuple(forms)
-    check_cell(rp, k, len(forms))
-    width, height = _rectangle_sides(rp, k)
     scaled, factor = scaled_forms(rp, k, forms)
+    width, height = _rectangle_sides(rp, k)
     return schur_homog(rectangle(width, height), form_pair(scaled), rows=height) * factor
 
 
@@ -250,12 +252,17 @@ class LiteralCase:
     skipped_terms: int
 
 
+class LiteralCaseUndefined(ValueError):
+    """The audit's one declared precondition fails: a group product vanishes."""
+
+
 def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCase]:
     """Audit-only evaluation of the four per-case ratio formulas.
 
     Each formula is computed through its division-free carrier, which agrees
-    with the displayed ratio form whenever the group products are nonzero
-    (enforced here, as the formulas require).  Case 3 as displayed can ask
+    with the displayed ratio form whenever the group products are nonzero;
+    as the formulas require, a zero b in the check group or a zero a in the
+    hat group raises ``LiteralCaseUndefined``.  Case 3 as displayed can ask
     for a rectangle complement that does not exist (a part exceeding d);
     such summands are skipped and counted in ``skipped_terms``.
 
@@ -276,13 +283,12 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     split (hat empty, case 1 or the closed form) matches ``det_direct`` in
     general.  Compare via ``discrepancy_report``.
     """
-    check_cell(rp, k, len(sf.all_forms))
+    scaled, factor = scaled_forms(rp, k, sf.all_forms)
     d, q = rp.d, rp.q
     u = sf.u
     v = len(sf.hat)
     if any(f.b == 0 for f in sf.check) or any(f.a == 0 for f in sf.hat):
-        raise ValueError("literal case formula undefined: a group product vanishes")
-    scaled, factor = scaled_forms(rp, k, sf.all_forms)
+        raise LiteralCaseUndefined("literal case formula undefined: a group product vanishes")
     evaluated = SplitForms.split(scaled, u)
     check_pair = evaluated.check_pair()
     hat_pair = evaluated.hat_pair()
@@ -400,14 +406,15 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     audit for one instance.
 
     The closed form is computed on every split: it is the determinant of the
-    unsplit product, which the split does not change.
+    unsplit product, which the split does not change.  ``literal_error`` is
+    set only by ``LiteralCaseUndefined``; any other error propagates.
     """
     direct = det_direct(rp, k, sf.all_forms)
     expansion = det_schur_expansion(rp, k, sf)
     closed = det_closed_form(rp, k, sf.all_forms)
     try:
         literal, literal_error = tuple(det_literal_cases(rp, k, sf)), None
-    except ValueError as exc:
+    except LiteralCaseUndefined as exc:
         literal, literal_error = (), str(exc)
     return CellRecord(rp, k, sf, direct, expansion, closed, literal, literal_error)
 

@@ -12,11 +12,12 @@ d or whose y-exponent exceeds q is dead and stays dead under further
 multiplication by linear forms, so the one-shot product matrix equals the
 ordered product of the single-form matrices.
 
-``scaled_forms`` is the package's one step from rational forms to
-primitive integer pairs, and it owns the one factor that undoes it (its
-docstring states the degree fact behind that factor).  ``det_direct`` builds
-and reduces its matrix in ``int`` on those pairs, and the closed form and the
-literal audit in ``formulas`` evaluate on them too.
+``scaled_forms`` is the package's one gate into a cell: it applies the cell
+rule of ``check_cell``, makes the one step from rational forms to primitive
+integer pairs, and owns the one factor that undoes it (its docstring states
+the degree fact behind that factor).  ``det_direct`` builds and reduces its
+matrix in ``int`` on those pairs, and the closed form and the literal audit
+in ``formulas`` evaluate on them too.
 """
 
 from __future__ import annotations
@@ -179,6 +180,10 @@ def check_cell(rp: RingParams, k: int, nforms: int) -> None:
 def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...], Fraction | int]:
     """The forms to evaluate a cell on, with the one factor that undoes the scaling.
 
+    The forms must make a cell on degree k: ``check_cell`` raises its
+    ``ValueError`` otherwise, so this is the one gate into a cell for every
+    route that evaluates on the returned forms.
+
     Multiplication by l_1 ... l_(d+q-2k) on R_k has a determinant that is
     homogeneous of degree dim(R_k) in each pair (a_t, b_t), and so is every
     formula for it here: the closed form's rectangle height and the row count
@@ -188,9 +193,10 @@ def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...],
     factor = 1 / prod(s_t)**dim(R_k), a ``Fraction``; any such value is its
     value on the returned forms times ``factor``.  When some coefficient is
     not an ``int`` or a ``Fraction`` (``MultiPoly`` forms) the forms come back
-    unchanged with the ``int`` factor 1.  Call it after ``check_cell``.
+    unchanged with the ``int`` factor 1.
     """
     forms = tuple(forms)
+    check_cell(rp, k, len(forms))
     if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
         return forms, 1
     dens = gcds = 1
@@ -218,7 +224,5 @@ def det_direct(rp: RingParams, k: int, forms):
     ``scaled_forms``' forms, so rational input is reduced in ``int`` only and
     returns a ``Fraction``.
     """
-    forms = tuple(forms)
-    check_cell(rp, k, len(forms))
     scaled, factor = scaled_forms(rp, k, forms)
     return det(mult_matrix_block(rp, scaled, k)) * factor

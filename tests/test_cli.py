@@ -152,10 +152,14 @@ CELL = ["--d", "1", "--q", "1", "--k", "0", "--forms", "1,1;1,1"]
         ["slp", "--d", "1_0", "--q", "2", "--forms", "1,1"],
         ["slp", "--d", "\u0662", "--q", "1", "--forms", "1,1"],
         ["schur", "--partition", "[1_0]", "--values", "1,2"],
+        ["verify", "--d", "2"],
+        ["duality", "--r", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],
+        ["duality", "--r", "1", "--a", "1,2", "--b", "3,4"],
     ],
     ids=["unknown-flag", "non-int", "bad-choice", "no-subcommand", "missing-flag",
          "dmax-with-d", "csv-off-sweep", "exponent-rational", "int-underscore",
-         "int-non-ascii-digit", "partition-underscore"],
+         "int-non-ascii-digit", "partition-underscore", "d-without-q",
+         "complement-without-n", "rectangle-without-m"],
 )
 def test_argparse_usage_errors_are_error_documents(capsys, argv):
     code = main(argv)
@@ -375,6 +379,29 @@ def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
     )
     assert code == 1
     assert doc["summary"]["mismatches"] > 0
+
+
+def test_only_the_declared_audit_case_is_recorded_as_undefined(capsys, monkeypatch):
+    # a fault inside an audit box sum is an error, not an "undefined" audit
+    import lefdet.formulas as formulas
+
+    def faulty_comb(*args):
+        raise ValueError("injected box-sum fault")
+
+    monkeypatch.setattr(formulas, "comb", faulty_comb)
+    rp = RingParams(2, 2)
+    mixed = formulas.SplitForms(check=[LinearForm(2, 1)], hat=[LinearForm(1, 3)])
+    with pytest.raises(ValueError, match="injected box-sum fault"):
+        formulas.discrepancy_report(rp, 1, mixed)
+    code, doc = run_json(
+        capsys, "report", "--d", "2", "--q", "2", "--k", "1", "--u", "1", "--forms", "2,1;1,3"
+    )
+    assert code == 2 and set(doc) == {"error", "schema"}
+    assert doc["error"] == "injected box-sum fault"
+    # the audit's one declared precondition, a zero b in the check group
+    zero_b = formulas.SplitForms(check=[LinearForm(1, 0)], hat=[LinearForm(1, 3)])
+    record = formulas.discrepancy_report(rp, 1, zero_b)
+    assert record.literal == () and "undefined" in record.literal_error
 
 
 @pytest.fixture

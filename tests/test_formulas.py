@@ -246,7 +246,8 @@ def test_closed_form_size_validation():
 
 @pytest.mark.parametrize("k,nforms", [(1, 1), (1, 3), (3, 0), (-1, 6), (1.0, 2), (True, 2)])
 def test_every_route_raises_the_one_cell_rule(k, nforms):
-    # one rule, one message: the routes defer to ring.check_cell, as det_direct does
+    # one rule, one message: every route defers to ring.check_cell, through the
+    # scaled_forms gate or directly
     rp = RingParams(2, 2)
     forms = [F(1, 1)] * nforms
     with pytest.raises(ValueError) as direct:
@@ -256,6 +257,7 @@ def test_every_route_raises_the_one_cell_rule(k, nforms):
         lambda: det_schur_expansion(rp, k, SplitForms.split(forms, 0)),
         lambda: det_literal_cases(rp, k, SplitForms.split(forms, 0)),
         lambda: discrepancy_report(rp, k, SplitForms.split(forms, 0)),
+        lambda: scaled_forms(rp, k, forms),
     )
     for route in routes:
         with pytest.raises(ValueError) as err:

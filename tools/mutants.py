@@ -37,6 +37,60 @@ MUTANTS = [
         "b_i * table[j] + 2 * a_i * table[j - 1]",
         "E-table weights a_i twice: E_m picks up a factor 2^m",
     ),
+    (
+        "lefdet/linalg.py",
+        "        content *= g\n        a.append(",
+        "        a.append(",
+        "Bareiss drops the row contents it divided out",
+    ),
+    (
+        "lefdet/linalg.py",
+        "            content *= g\n            for row in a:",
+        "            for row in a:",
+        "Bareiss drops the column contents it divided out",
+    ),
+    (
+        "lefdet/ring.py",
+        "power = dim(rp, k)",
+        "power = dim(rp, k) - 1",
+        "scale factor raised to dim(R_k) - 1 instead of dim(R_k)",
+    ),
+    (
+        "lefdet/ring.py",
+        "Fraction(gcds**power, dens**power)",
+        "Fraction(dens**power, gcds**power)",
+        "scale factor inverted: multiplies by the scaling instead of undoing it",
+    ),
+    (
+        "lefdet/formulas.py",
+        "return rp.d - k, k + 1",
+        "return rp.d - k + 1, k + 1",
+        "closed form's rectangle one column too wide for k <= q",
+    ),
+    (
+        "lefdet/ring.py",
+        "shift = i - j",
+        "shift = i - j + 1",
+        "direct block reads each product coefficient one place off",
+    ),
+    (
+        "lefdet/symfunc.py",
+        "at(parts[i] + j - i)",
+        "at(parts[i] + i - j)",
+        "Jacobi-Trudi entries read E at lam_i + i - j instead of lam_i - i + j",
+    ),
+    (
+        "lefdet/ring.py",
+        "coeffs[i] = f.a * coeffs[i] + f.b * coeffs[i - 1]\n        coeffs[0] = f.a * coeffs[0]",
+        "coeffs[i] = f.b * coeffs[i] + f.a * coeffs[i - 1]\n        coeffs[0] = f.b * coeffs[0]",
+        "a<->b swap in the direct route's product coefficients",
+    ),
+    (
+        "lefdet/formulas.py",
+        "return HomogPair(pair.b, pair.a)",
+        "return pair",
+        "hat group keeps the check group's roles: no a<->b swap",
+    ),
 ]
 
 
