@@ -18,9 +18,11 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, at any split, 2 usage error
-(argparse's own included) or an arithmetic fault (a failed exactness check),
-reported as an error document on stdout with nothing on stderr.  When
+determinant and the expansion or closed form, at any split, and nothing else,
+2 usage error (argparse's own included), an arithmetic fault (a failed
+exactness check) or any other exception raised inside a subcommand, reported
+as an error document on stdout with nothing on stderr; ``SystemExit`` and
+``KeyboardInterrupt`` pass through.  When
 ``verify`` or ``sweep`` exits 1, one line on stderr names the first
 mismatching trial and the ``lefdet report`` command that recomputes it, which
 exits 1 on the same disagreement.
@@ -38,6 +40,7 @@ import random
 import re
 import shlex
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .formulas import (
@@ -55,6 +58,8 @@ from .ring import LinearForm, RingParams, det_direct
 from .symfunc import schur_bialternant, schur_jacobi_trudi, schur_tableaux
 
 SCHEMA = "lefdet/1"
+# str of an int this size stays inside Python's default 4,300-digit limit
+STR_BITS = 14_000
 RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 EXIT_OK = 0
@@ -103,20 +108,51 @@ def parse_forms(text: str) -> list[LinearForm]:
     return forms
 
 
+def decimal_digits(n: int) -> str:
+    """``str(n)`` for an ``int`` of any size, in subquadratic time.
+
+    Up to ``STR_BITS`` bits this is ``str``.  A larger value splits on a power
+    of two, and the halves recombine in ``decimal`` under an exact context,
+    whose multiplication is subquadratic (the method of CPython 3.12's
+    ``Lib/_pylong.py``); ``str`` of an ``int`` is quadratic, and past 4,300
+    digits Python 3.10.7+ refuses it.
+    """
+    if n.bit_length() <= STR_BITS:
+        return str(n)
+    powers = {}
+
+    def power_of_two(w):
+        if w not in powers:
+            powers[w] = (Decimal(2) ** w if w <= STR_BITS
+                         else power_of_two(w >> 1) * power_of_two(w - (w >> 1)))
+        return powers[w]
+
+    def convert(n, w):
+        if w <= STR_BITS:
+            return Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * power_of_two(half)
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
 def fmt(value) -> str:
     """``p`` or ``p/q`` in lowest terms, of any size.
 
-    Python's int-to-str digit limit (3.10.7 and later) is lifted only while the
-    result converts; parsing argv keeps it, as it bounds the quadratic str -> int.
+    ``decimal_digits`` converts the numerator and denominator, so Python's
+    int-to-str digit limit stays in force throughout; it bounds the quadratic
+    str -> int that parsing argv runs.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(Fraction(value))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(Fraction(value))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    value = Fraction(value)
+    if value.denominator == 1:
+        return decimal_digits(value.numerator)
+    return f"{decimal_digits(value.numerator)}/{decimal_digits(value.denominator)}"
 
 
 def form_doc(form: LinearForm) -> list[str]:
@@ -568,9 +604,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         body, agrees = COMMANDS[args.command](args)
         emit({"schema": SCHEMA, "command": args.command, **body}, args.output)
-    except (ValueError, ArithmeticError) as exc:
+    except Exception as exc:
+        # exit 1 is kept for a verified mismatch: any other fault is an error document
+        message = str(exc) if isinstance(exc, (ValueError, ArithmeticError)) else repr(exc)
         sys.stdout.write(
-            json.dumps({"schema": SCHEMA, "error": str(exc)}, sort_keys=True) + "\n"
+            json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True) + "\n"
         )
         return EXIT_USAGE
     return EXIT_OK if agrees else EXIT_MISMATCH

@@ -2,8 +2,8 @@
 
 Two determinant routes are kept deliberately independent: fraction-free
 Bareiss elimination (rational entries, taken to a primitive integer matrix by
-clearing each row's denominators and dividing out every row's and column's
-content; every intermediate division is checked exact) and memoized Laplace
+``primitive_part`` on each row and by dividing out every column's content;
+every intermediate division is checked exact) and memoized Laplace
 expansion (any exact coefficient ring, and the small-size cross-check for
 Bareiss).  ``det`` picks Laplace when some entry is a ``MultiPoly`` and
 Bareiss otherwise; each route checks its own entries with the ``mpoly``
@@ -82,12 +82,30 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
 
 
+def primitive_part(values) -> tuple[list[int], int, int]:
+    """The primitive integer vector of ``int``/``Fraction`` values, with its scale.
+
+    Returns ``(ints, g, den)`` with ``values[i] == Fraction(g, den) * ints[i]``,
+    ``den`` the lcm of the denominators and ``g >= 0`` the gcd of the scaled
+    numerators, so ``gcd(*ints) == 1``; ``g == 0`` exactly when every value is
+    0, and then ``ints`` is all zeros.  This is the package's one step from
+    rationals to integers: each Bareiss row and each ``ring.scaled_forms`` pair.
+    """
+    den = lcm(*(x.denominator for x in values))
+    ints = [x.numerator * (den // x.denominator) for x in values]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints, g, den
+
+
 def det_bareiss(m: ExactMatrix) -> Fraction:
     """Fraction-free determinant for rational (``int`` or ``Fraction``) entries.
 
-    Each row is scaled by the lcm of its denominators to integers, then the
-    content (gcd) of every row and of every column is divided out and
-    multiplied back in at the end; a zero row or column gives 0 at once.
+    Each row is taken to its ``primitive_part`` (scaled by the lcm of its
+    denominators, its content divided out), then the content (gcd) of every
+    column is divided out too; both are multiplied back in at the end, and a
+    zero row or column gives 0 at once.
     The integer Bareiss recurrence runs on what is left with first-nonzero
     pivoting and sign tracking, and every interior division is checked
     remainder-free (``ArithmeticError`` otherwise).  Any other entry type,
@@ -104,14 +122,12 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     for r in range(n):
         row = m.row(r)
         require_rational("matrix entry", *row)
-        den = lcm(*(x.denominator for x in row))
-        scale *= den
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
+        ints, g, den = primitive_part(row)
         if g == 0:
             return Fraction(0)
+        scale *= den
         content *= g
-        a.append([x // g for x in ints] if g != 1 else ints)
+        a.append(ints)
     for c in range(n):
         g = gcd(*(row[c] for row in a))
         if g == 0:

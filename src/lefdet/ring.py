@@ -13,8 +13,8 @@ multiplication by linear forms, so the one-shot product matrix equals the
 ordered product of the single-form matrices.
 
 ``scaled_forms`` is the package's one gate into a cell: it applies the cell
-rule of ``check_cell``, makes the one step from rational forms to primitive
-integer pairs, and owns the one factor that undoes it (its docstring states
+rule of ``check_cell``, takes rational forms to primitive integer pairs with
+``linalg.primitive_part``, and owns the one factor that undoes it (its docstring states
 the degree fact behind that factor).  ``det_direct`` builds and reduces its
 matrix in ``int`` on those pairs, and the closed form and the literal audit
 in ``formulas`` evaluate on them too.
@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
-from .linalg import ExactMatrix, det
+from .linalg import ExactMatrix, det, primitive_part
 from .mpoly import require_exact, require_int
 
 
@@ -188,8 +187,9 @@ def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...],
     homogeneous of degree dim(R_k) in each pair (a_t, b_t), and so is every
     formula for it here: the closed form's rectangle height and the row count
     of every literal audit case both equal dim(R_k).  Rational form t becomes
-    the primitive integer pair s_t * (a_t, b_t), with
-    s_t = lcm(denominators) / gcd(numerators) > 0, and
+    its ``linalg.primitive_part``, the primitive integer pair s_t * (a_t, b_t)
+    with s_t = den / g > 0 (den the lcm of the denominators, g the gcd of
+    the scaled numerators), and
     factor = 1 / prod(s_t)**dim(R_k), a ``Fraction``; any such value is its
     value on the returned forms times ``factor``.  When some coefficient is
     not an ``int`` or a ``Fraction`` (``MultiPoly`` forms) the forms come back
@@ -202,16 +202,10 @@ def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...],
     dens = gcds = 1
     primitive = []
     for f in forms:
-        den = lcm(f.a.denominator, f.b.denominator)
-        g = gcd(f.a.numerator, f.b.numerator)
+        (a, b), g, den = primitive_part((f.a, f.b))
         dens *= den
         gcds *= g
-        primitive.append(
-            LinearForm(
-                f.a.numerator * (den // f.a.denominator) // g,
-                f.b.numerator * (den // f.b.denominator) // g,
-            )
-        )
+        primitive.append(LinearForm(a, b))
     power = dim(rp, k)
     return tuple(primitive), Fraction(gcds**power, dens**power)
 

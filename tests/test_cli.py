@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import shlex
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from lefdet.cli import (
     cell_rng,
+    fmt,
     main,
     parse_forms,
     parse_values,
@@ -184,6 +186,28 @@ def test_results_of_any_size_are_printed_exactly(capsys):
     sys.set_int_max_str_digits(0)
     try:
         assert Fraction(doc["det"]) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_fmt_matches_str_for_values_of_any_size():
+    # fmt never touches the digit limit; str needs it lifted past 4,300 digits
+    rng = random.Random(2002)
+    ints = [0, 1, -1, 10**4299, 10**4300, -(10**20000) + 1, 10**200000]
+    for bits in (13_999, 14_000, 14_001, 50_000, 200_000):
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+        ints += [n, -n]
+    ints.append(-rng.getrandbits(660_000))
+    values = ints + [Fraction(n, 7**9000) for n in ints[:6]] + [
+        Fraction(rng.getrandbits(90_000), rng.getrandbits(120_000) | 1),
+        Fraction(-rng.getrandbits(300), 10**50000),
+    ]
+    limit = sys.get_int_max_str_digits()
+    printed = [fmt(v) for v in values]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == [str(Fraction(v)) for v in values]
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -402,6 +426,22 @@ def test_only_the_declared_audit_case_is_recorded_as_undefined(capsys, monkeypat
     zero_b = formulas.SplitForms(check=[LinearForm(1, 0)], hat=[LinearForm(1, 3)])
     record = formulas.discrepancy_report(rp, 1, zero_b)
     assert record.literal == () and "undefined" in record.literal_error
+
+
+def test_a_fault_in_a_subcommand_is_exit_2_not_a_mismatch(capsys, monkeypatch):
+    # exit 1 means a verified mismatch; an IndexError escaping a route is not one
+    import lefdet.cli as cli
+
+    def faulty_report(*args):
+        raise IndexError("injected route fault")
+
+    monkeypatch.setattr(cli, "discrepancy_report", faulty_report)
+    code = main(["verify", "--dmax", "3", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    doc = json.loads(captured.out)
+    assert set(doc) == {"error", "schema"} and "injected route fault" in doc["error"]
+    assert captured.err == ""
 
 
 @pytest.fixture

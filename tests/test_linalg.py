@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from lefdet.linalg import (
     det_bareiss,
     det_laplace,
     minor_det,
+    primitive_part,
 )
 from lefdet.mpoly import MultiPoly
 
@@ -172,6 +174,27 @@ def test_content_reduced_bareiss_equals_laplace(m):
     value = det_bareiss(m)
     assert type(value) is Fraction
     assert value == det_laplace(m)
+
+
+rational_values = st.lists(
+    st.one_of(
+        st.integers(-10**6, 10**6),
+        st.just(0),
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(rational_values)
+def test_primitive_part_is_the_primitive_vector_and_its_scale(values):
+    ints, g, den = primitive_part(values)
+    assert all(type(x) is int for x in ints) and type(g) is int and type(den) is int
+    assert [Fraction(g, den) * x for x in ints] == values
+    assert gcd(*ints) == (1 if any(values) else 0)
+    assert den == lcm(*(Fraction(v).denominator for v in values))
+    assert (g == 0) == all(v == 0 for v in values)
 
 
 def test_det_dispatches_to_laplace_for_polynomials():

@@ -91,6 +91,12 @@ MUTANTS = [
         "return pair",
         "hat group keeps the check group's roles: no a<->b swap",
     ),
+    (
+        "lefdet/linalg.py",
+        "x.numerator * (den // x.denominator)",
+        "x.numerator",
+        "primitive_part drops the denominator scaling: (1/2, 1/3) reads as (1, 1) / 6",
+    ),
 ]
 
 
