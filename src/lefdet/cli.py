@@ -55,7 +55,7 @@ from .formulas import (
 from .mpoly import parse_int
 from .partitions import Partition
 from .ring import LinearForm, RingParams, det_direct
-from .symfunc import schur_bialternant, schur_jacobi_trudi, schur_tableaux
+from .symfunc import schur, schur_bialternant, schur_tableaux
 
 SCHEMA = "lefdet/1"
 # str of an int this size stays inside Python's default 4,300-digit limit
@@ -395,7 +395,7 @@ def cmd_schur(args) -> tuple[dict, bool]:
                          "returns its convention (1 or 0) and compares nothing")
     body = {"inputs": {"partition": str(lam), "values": [fmt(v) for v in values]}}
     results = {}
-    results["jacobi_trudi_of_conjugate"] = fmt(schur_jacobi_trudi(lam.conjugate(), values))
+    results["jacobi_trudi_of_conjugate"] = fmt(schur(lam, values))
     for key, fn in (("bialternant", schur_bialternant), ("tableaux", schur_tableaux)):
         try:
             results[key] = fmt(fn(lam, values))

@@ -1,13 +1,13 @@
 """Dense exact matrices: determinants, minors, and a Cauchy-Binet verifier.
 
 Two determinant routes are kept deliberately independent: fraction-free
-Bareiss elimination (rational entries, taken to a primitive integer matrix by
-``primitive_part`` on each row and by dividing out every column's content;
-every intermediate division is checked exact) and memoized Laplace
-expansion (any exact coefficient ring, and the small-size cross-check for
-Bareiss).  ``det`` picks Laplace when some entry is a ``MultiPoly`` and
-Bareiss otherwise; each route checks its own entries with the ``mpoly``
-exactness rule.
+Bareiss elimination (rational entries, each row taken to its
+``primitive_part`` and no column pass; least-magnitude pivots, so a lost
+swap sign shows on ordinary inputs; every intermediate division is checked
+exact) and memoized Laplace expansion (any exact coefficient ring, and the
+small-size cross-check for Bareiss).  ``det`` picks Laplace when some
+entry is a ``MultiPoly`` and Bareiss otherwise; each route checks its own
+entries with the ``mpoly`` exactness rule.
 """
 
 from __future__ import annotations
@@ -103,13 +103,15 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     """Fraction-free determinant for rational (``int`` or ``Fraction``) entries.
 
     Each row is taken to its ``primitive_part`` (scaled by the lcm of its
-    denominators, its content divided out), then the content (gcd) of every
-    column is divided out too; both are multiplied back in at the end, and a
-    zero row or column gives 0 at once.
-    The integer Bareiss recurrence runs on what is left with first-nonzero
-    pivoting and sign tracking, and every interior division is checked
-    remainder-free (``ArithmeticError`` otherwise).  Any other entry type,
-    ``bool`` included, is a ``ValueError``.
+    denominators, its content divided out; both multiplied back in at the
+    end), and a zero row gives 0 at once.  The integer Bareiss recurrence
+    runs on what is left with sign tracking, and every interior division is
+    checked remainder-free (``ArithmeticError`` otherwise).  Its pivot is
+    the column's nonzero entry of least absolute value, topmost on ties:
+    the interior divisions are exact under any nonzero pivot, and this one
+    swaps rows on the small blocks ``verify`` builds, where a first-nonzero
+    pivot would not, so a lost swap sign changes a verdict there.  Any
+    other entry type, ``bool`` included, is a ``ValueError``.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -128,20 +130,13 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
         scale *= den
         content *= g
         a.append(ints)
-    for c in range(n):
-        g = gcd(*(row[c] for row in a))
-        if g == 0:
-            return Fraction(0)
-        if g != 1:
-            content *= g
-            for row in a:
-                row[c] //= g
     sign = 1
     prev = 1
     for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
+        nonzero = [r for r in range(col, n) if a[r][col] != 0]
+        if not nonzero:
             return Fraction(0)
+        pivot_row = min(nonzero, key=lambda r: abs(a[r][col]))
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             sign = -sign

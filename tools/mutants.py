@@ -45,9 +45,9 @@ MUTANTS = [
     ),
     (
         "lefdet/linalg.py",
-        "            content *= g\n            for row in a:",
-        "            for row in a:",
-        "Bareiss drops the column contents it divided out",
+        "a[col], a[pivot_row] = a[pivot_row], a[col]\n            sign = -sign",
+        "a[col], a[pivot_row] = a[pivot_row], a[col]",
+        "Bareiss swaps rows without flipping the sign",
     ),
     (
         "lefdet/ring.py",
@@ -63,9 +63,21 @@ MUTANTS = [
     ),
     (
         "lefdet/formulas.py",
+        "rows=height) * factor",
+        "rows=height) * factor * factor",
+        "closed form applies the scale factor twice",
+    ),
+    (
+        "lefdet/formulas.py",
         "return rp.d - k, k + 1",
         "return rp.d - k + 1, k + 1",
         "closed form's rectangle one column too wide for k <= q",
+    ),
+    (
+        "lefdet/formulas.py",
+        "return rp.socle - 2 * k, rp.q + 1",
+        "return rp.socle - 2 * k + 1, rp.q + 1",
+        "closed form's rectangle one column too wide for k > q",
     ),
     (
         "lefdet/ring.py",
