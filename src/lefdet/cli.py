@@ -32,13 +32,10 @@ Literal-case audit findings are reported but never change the exit code.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import json
 import random
 import re
-import shlex
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
@@ -178,6 +175,8 @@ def audit_doc(case, direct) -> dict:
 
 
 def cell_rng(seed: int, *coords) -> random.Random:
+    import hashlib  # here, not at the top: loading OpenSSL would slow every command's start-up
+
     key = ":".join([str(seed)] + [str(c) for c in coords])
     digest = hashlib.sha256(key.encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
@@ -321,6 +320,8 @@ def run_sweep(args) -> tuple[dict, list[dict], int]:
             if row["match"]:
                 continue
             if not mismatches:
+                import shlex  # here, not at the top: only this line needs it
+
                 d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
                 forms = ";".join(",".join(pair) for pair in row["forms"])
                 sys.stderr.write(
@@ -487,6 +488,8 @@ def emit(doc: dict, output: str) -> None:
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         return
     if output == "csv":
+        import csv  # here, not at the top: only --output csv needs it
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()

@@ -55,11 +55,11 @@ such a summand is skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, perm, prod
 
+from ._record import Record, set_field
 from .linalg import ExactMatrix, det
 from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, rectangle
@@ -80,20 +80,18 @@ def form_pair(forms) -> HomogPair:
     return HomogPair(tuple(f.a for f in forms), tuple(f.b for f in forms))
 
 
-@dataclass(frozen=True)
-class SplitForms:
+class SplitForms(Record):
     """An ordered two-group split of the form list.
 
     ``check`` is factored through b (its homogenized values are built from
     the pair (a; b)); ``hat`` is factored through a (pair (b; a)).
     """
 
-    check: tuple[LinearForm, ...]
-    hat: tuple[LinearForm, ...]
+    __slots__ = ("check", "hat")
 
-    def __post_init__(self):
-        object.__setattr__(self, "check", tuple(self.check))
-        object.__setattr__(self, "hat", tuple(self.hat))
+    def __init__(self, check: tuple[LinearForm, ...], hat: tuple[LinearForm, ...]):
+        set_field(self, "check", tuple(check))
+        set_field(self, "hat", tuple(hat))
 
     @classmethod
     def split(cls, forms, u: int) -> "SplitForms":
@@ -120,18 +118,22 @@ class SplitForms:
         return HomogPair(pair.b, pair.a)
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    delta: tuple[int, ...]
-    lam: Partition
-    nu: Partition
-    value: object
+class ExpansionTerm(Record):
+    __slots__ = ("delta", "lam", "nu", "value")
+
+    def __init__(self, delta: tuple[int, ...], lam: Partition, nu: Partition, value):
+        set_field(self, "delta", delta)
+        set_field(self, "lam", lam)
+        set_field(self, "nu", nu)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Expansion:
-    value: object
-    terms: tuple[ExpansionTerm, ...]
+class Expansion(Record):
+    __slots__ = ("value", "terms")
+
+    def __init__(self, value, terms: tuple[ExpansionTerm, ...]):
+        set_field(self, "value", value)
+        set_field(self, "terms", terms)
 
 
 def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
@@ -218,17 +220,21 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
     return value if isinstance(value, MultiPoly) else Fraction(value)
 
 
-@dataclass(frozen=True)
-class SlpEntry:
-    k: int
-    det: object
-    nonzero: bool
+class SlpEntry(Record):
+    __slots__ = ("k", "det", "nonzero")
+
+    def __init__(self, k: int, det, nonzero: bool):
+        set_field(self, "k", k)
+        set_field(self, "det", det)
+        set_field(self, "nonzero", nonzero)
 
 
-@dataclass(frozen=True)
-class SlpReport:
-    entries: tuple[SlpEntry, ...]
-    holds: bool
+class SlpReport(Record):
+    __slots__ = ("entries", "holds")
+
+    def __init__(self, entries: tuple[SlpEntry, ...], holds: bool):
+        set_field(self, "entries", entries)
+        set_field(self, "holds", holds)
 
 
 def slp_check(rp: RingParams, form: LinearForm) -> SlpReport:
@@ -244,12 +250,14 @@ def slp_check(rp: RingParams, form: LinearForm) -> SlpReport:
     return SlpReport(entries=tuple(entries), holds=all(e.nonzero for e in entries))
 
 
-@dataclass(frozen=True)
-class LiteralCase:
-    case_id: int
-    condition: str
-    value: object
-    skipped_terms: int
+class LiteralCase(Record):
+    __slots__ = ("case_id", "condition", "value", "skipped_terms")
+
+    def __init__(self, case_id: int, condition: str, value, skipped_terms: int):
+        set_field(self, "case_id", case_id)
+        set_field(self, "condition", condition)
+        set_field(self, "value", value)
+        set_field(self, "skipped_terms", skipped_terms)
 
 
 class LiteralCaseUndefined(ValueError):
@@ -339,12 +347,14 @@ def duality_check(r: int, m: int, a, b) -> ComplementIdentityResult:
     return complement_identity_check(rectangle(r, m), r, 2 * m, a, b)
 
 
-@dataclass(frozen=True)
-class ComplementIdentityResult:
-    mu: Partition
-    lhs: object
-    rhs: object
-    equal: bool
+class ComplementIdentityResult(Record):
+    __slots__ = ("mu", "lhs", "rhs", "equal")
+
+    def __init__(self, mu: Partition, lhs, rhs, equal: bool):
+        set_field(self, "mu", mu)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "equal", equal)
 
 
 def complement_identity_check(
@@ -369,8 +379,7 @@ def complement_identity_check(
     return ComplementIdentityResult(mu=mu, lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
-@dataclass(frozen=True)
-class CellRecord:
+class CellRecord(Record):
     """Every determinant route for one instance, side by side.
 
     Values are live ring values (Fraction or MultiPoly).  ``literal`` holds
@@ -378,14 +387,27 @@ class CellRecord:
     undefined; they never influence the two verdicts.
     """
 
-    rp: RingParams
-    k: int
-    split: SplitForms
-    direct: object
-    expansion: Expansion
-    closed: object
-    literal: tuple[LiteralCase, ...]
-    literal_error: str | None
+    __slots__ = ("rp", "k", "split", "direct", "expansion", "closed", "literal", "literal_error")
+
+    def __init__(
+        self,
+        rp: RingParams,
+        k: int,
+        split: SplitForms,
+        direct,
+        expansion: Expansion,
+        closed,
+        literal: tuple[LiteralCase, ...],
+        literal_error: str | None,
+    ):
+        set_field(self, "rp", rp)
+        set_field(self, "k", k)
+        set_field(self, "split", split)
+        set_field(self, "direct", direct)
+        set_field(self, "expansion", expansion)
+        set_field(self, "closed", closed)
+        set_field(self, "literal", literal)
+        set_field(self, "literal_error", literal_error)
 
     @property
     def expansion_matches(self) -> bool:

@@ -12,34 +12,32 @@ entries with the ``mpoly`` exactness rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
+from ._record import Record, set_field
 from .mpoly import MultiPoly, require_exact, require_int, require_rational
 
 
-@dataclass(frozen=True, slots=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     """Row-major dense matrix over an exact commutative ring; frozen."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        require_int("matrix size", self.rows, self.cols)
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        entries = tuple(entries)
+        require_int("matrix size", rows, cols)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} entries, "
-                f"got {len(entries)}"
+                f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "entries", entries)
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows_data) -> "ExactMatrix":
@@ -213,11 +211,13 @@ def minor_det(m: ExactMatrix, rowset, colset):
     return det(ExactMatrix(len(rowset), len(colset), [m[r, c] for r in rowset for c in colset]))
 
 
-@dataclass(frozen=True)
-class CauchyBinetResult:
-    lhs: object
-    rhs: object
-    equal: bool
+class CauchyBinetResult(Record):
+    __slots__ = ("lhs", "rhs", "equal")
+
+    def __init__(self, lhs, rhs, equal: bool):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "equal", equal)
 
 
 def cauchy_binet_check(Y: ExactMatrix, X: ExactMatrix) -> CauchyBinetResult:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from ._record import Record, set_field
 from .mpoly import parse_int, require_int
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(Record):
     """A weakly decreasing tuple of positive integers; ``Partition()`` is empty.
 
     Trailing zeros are trimmed on construction, so equality and hashing are
@@ -17,10 +16,10 @@ class Partition:
     the empty partition.  A non-``int`` part raises.
     """
 
-    parts: tuple = ()
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple = ()):
+        parts = tuple(parts)
         require_int("part", *parts)
         for a, b in zip(parts, parts[1:]):
             if a < b:
@@ -29,7 +28,7 @@ class Partition:
             raise ValueError(f"parts must be nonnegative, got {parts}")
         while parts and parts[-1] == 0:
             parts = parts[:-1]
-        object.__setattr__(self, "parts", parts)
+        set_field(self, "parts", parts)
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":

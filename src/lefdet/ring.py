@@ -22,24 +22,24 @@ in ``formulas`` evaluate on them too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, set_field
 from .linalg import ExactMatrix, det, primitive_part
 from .mpoly import require_exact, require_int
 
 
-@dataclass(frozen=True)
-class RingParams:
+class RingParams(Record):
     """Exponent parameters d >= q >= 1; the socle degree is d + q."""
 
-    d: int
-    q: int
+    __slots__ = ("d", "q")
 
-    def __post_init__(self):
-        require_int("exponent", self.d, self.q)
-        if not self.d >= self.q >= 1:
-            raise ValueError(f"need d >= q >= 1, got d={self.d}, q={self.q}")
+    def __init__(self, d: int, q: int):
+        require_int("exponent", d, q)
+        if not d >= q >= 1:
+            raise ValueError(f"need d >= q >= 1, got d={d}, q={q}")
+        set_field(self, "d", d)
+        set_field(self, "q", q)
 
     @property
     def socle(self) -> int:
@@ -50,8 +50,7 @@ class RingParams:
         return SwappedParams(self.q, self.d)
 
 
-@dataclass(frozen=True)
-class SwappedParams:
+class SwappedParams(Record):
     """Exponent parameters d, q >= 1 in either order; the socle degree is d + q.
 
     The transposed determinant identity evaluates a ring with its exponents
@@ -59,30 +58,31 @@ class SwappedParams:
     d, q >= 1, so this twin of ``RingParams`` skips only the d >= q check.
     """
 
-    d: int
-    q: int
+    __slots__ = ("d", "q")
 
-    def __post_init__(self):
-        require_int("exponent", self.d, self.q)
-        if not (self.d >= 1 and self.q >= 1):
-            raise ValueError(f"need d, q >= 1, got d={self.d}, q={self.q}")
+    def __init__(self, d: int, q: int):
+        require_int("exponent", d, q)
+        if not (d >= 1 and q >= 1):
+            raise ValueError(f"need d, q >= 1, got d={d}, q={q}")
+        set_field(self, "d", d)
+        set_field(self, "q", q)
 
     @property
     def socle(self) -> int:
         return self.d + self.q
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """a*x + b*y with exact coefficients, not both zero."""
 
-    a: object
-    b: object
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        require_exact("form coefficient", self.a, self.b)
-        if self.a == 0 and self.b == 0:
+    def __init__(self, a, b):
+        require_exact("form coefficient", a, b)
+        if a == 0 and b == 0:
             raise ValueError("linear form must be nonzero")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
 
 def basis(rp: RingParams, k: int) -> tuple[tuple[int, int], ...]:

@@ -24,30 +24,27 @@ The table [E_0, ..., E_n] belongs to the pair (``HomogPair.table``), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from ._record import Record, set_field
 from .linalg import ExactMatrix, det
 from .mpoly import require_exact, require_int, require_rational
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class HomogPair:
+class HomogPair(Record):
     """Paired coefficient lists of equal length (numerators, denominators)."""
 
-    a: tuple
-    b: tuple
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        require_exact("coefficient", *self.a, *self.b)
-        if len(self.a) != len(self.b):
-            raise ValueError(
-                f"paired lists must have equal length, got {len(self.a)} and {len(self.b)}"
-            )
+    def __init__(self, a: tuple, b: tuple):
+        a, b = tuple(a), tuple(b)
+        require_exact("coefficient", *a, *b)
+        if len(a) != len(b):
+            raise ValueError(f"paired lists must have equal length, got {len(a)} and {len(b)}")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     def __len__(self):
         return len(self.a)
