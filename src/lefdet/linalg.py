@@ -13,7 +13,6 @@ entries with the ``mpoly`` exactness rule.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -154,28 +153,43 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
 
 
 def det_laplace(m: ExactMatrix):
-    """Cofactor expansion over any exact ring (checked), memoized on column subsets."""
+    """Cofactor expansion over any exact ring (checked), memoized on column subsets.
+
+    Row ``r`` expands over the columns left in ``mask``, so the mask alone
+    names a minor.  A zero entry adds no term, and neither does a zero minor
+    once the sum is a ``MultiPoly``; while the sum is still a scalar, a zero
+    term is added, so the result's type (``int``, ``Fraction`` or
+    ``MultiPoly``) is that of the full cofactor sum.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     require_exact("matrix entry", *m.entries)
     n = m.rows
     if n == 0:
         return 1
+    entries = m.entries
+    memo: dict[int, object] = {}
 
-    @cache
     def rec(r: int, mask: int):
         if r == n:
             return 1
+        if mask in memo:
+            return memo[mask]
         total = 0
-        sign = 1
+        negate = False
         for c in range(n):
             bit = 1 << c
             if not mask & bit:
                 continue
-            e = m[r, c]
-            if e != 0:
-                total = total + sign * e * rec(r + 1, mask & ~bit)
-            sign = -sign
+            e = entries[r * n + c]
+            if e:
+                minor = rec(r + 1, mask ^ bit)
+                if minor:
+                    total = total - e * minor if negate else total + e * minor
+                elif type(total) is not MultiPoly:
+                    total = total + e * minor
+            negate = not negate
+        memo[mask] = total
         return total
 
     return rec(0, (1 << n) - 1)

@@ -14,9 +14,15 @@ in the most significant field, so a monomial product is one ``int`` addition
 and key order is the lexicographic order of the exponent tuples.  Every
 polynomial carries an upper bound on its exponents; a product whose bound
 would exceed ``MAX_EXPONENT`` raises ``OverflowError`` instead of carrying
-into the neighbouring field.  A coefficient is an ``int`` when it is integral
-and a ``Fraction`` otherwise, and zero coefficients are never stored.  The
-``terms`` property is a read-only ``{exponent tuple: Fraction}`` view.
+into the neighbouring field.  A product with a one-term factor (each E-table
+step multiplies by one variable) is a monomial shift: every key of the other
+factor moves by that one key, with no accumulation and no zero filter, since
+distinct keys stay distinct and a product of nonzero rationals is nonzero.
+The operators test for a ``MultiPoly`` operand first, as the common case;
+scalar operands then take the ``int``/``Fraction`` branches unchanged.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` otherwise,
+and zero coefficients are never stored.  The ``terms`` property is a
+read-only ``{exponent tuple: Fraction}`` view.
 
 The ``require_*`` helpers below are the package's one exactness rule, called at
 every public entry point.  Types match exactly, so ``bool`` never passes: an
@@ -27,7 +33,7 @@ integer is ``int``, a rational ``int`` or ``Fraction``, a ring element either or
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 
 FIELD = 32
@@ -89,6 +95,16 @@ def _poly(arity: int, terms: dict, top: int) -> "MultiPoly":
     out._terms = terms
     out._top = top if terms else 0
     return out
+
+
+def _shift(terms: dict, mono: dict, arity: int, top: int) -> "MultiPoly":
+    """``terms`` times the one-term ``mono``, as a monomial shift."""
+    ((k0, c0),) = mono.items()
+    if c0 == 1:
+        shifted = {key + k0: c for key, c in terms.items()}
+    else:
+        shifted = {key + k0: _settle(c * c0) for key, c in terms.items()}
+    return _poly(arity, shifted, top)
 
 
 class MultiPoly:
@@ -163,16 +179,20 @@ class MultiPoly:
         return None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) and other == 0:
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)) and other == 0:
             return self  # generic sums start from the int 0
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for key, coeff in other._terms.items():
-            c = terms.get(key, 0) + coeff
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        get = terms.get
+        for key, coeff in small.items():
+            c = get(key, 0) + coeff
             if c:
-                terms[key] = _settle(c)
+                terms[key] = c if type(c) is int else _settle(c)
             else:
                 del terms[key]
         return _poly(self.arity, terms, max(self._top, other._top))
@@ -197,7 +217,7 @@ class MultiPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly and isinstance(other, (int, Fraction)):
             # a scalar scales the coefficients; no monomial work
             if other == 1:
                 return self
@@ -217,6 +237,10 @@ class MultiPoly:
                 f"product exponents may reach {top}, beyond {MAX_EXPONENT}, "
                 f"the largest a {FIELD}-bit field holds"
             )
+        if len(other._terms) == 1:
+            return _shift(self._terms, other._terms, self.arity, top)
+        if len(self._terms) == 1:
+            return _shift(other._terms, self._terms, self.arity, top)
         terms: dict[int, object] = {}
         get = terms.get
         right = list(other._terms.items())
@@ -305,8 +329,23 @@ class TermView(Mapping):
             raise KeyError(expo)
         return Fraction(self._poly._terms[_pack(expo)])
 
+    def items(self) -> "_TermItems":
+        return _TermItems(self)
+
     def __repr__(self):
         return repr(dict(self))
+
+
+class _TermItems(ItemsView):
+    """``(exponent tuple, Fraction)`` pairs read off the packed dict in one pass."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        poly = self._mapping._poly
+        arity = poly.arity
+        for key, coeff in poly._terms.items():
+            yield _unpack(key, arity), Fraction(coeff)
 
 
 def render(p: MultiPoly, names: list[str] | None = None) -> str:

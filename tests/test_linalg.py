@@ -203,6 +203,64 @@ def test_det_dispatches_to_laplace_for_polynomials():
     assert det(m) == x**2 - y**2
 
 
+@st.composite
+def polynomial_matrices(draw, arity=2):
+    """Small matrices of int, Fraction and MultiPoly entries, often with zero
+    entries, and with a zero row, a repeated row or a zero lower-left block
+    planted so that whole minors vanish."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    term = st.tuples(
+        st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(arity))),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    entry = st.one_of(
+        st.just(0),
+        st.integers(min_value=-3, max_value=3),
+        st.lists(term, max_size=3).map(lambda terms: MultiPoly(arity, terms)),
+    )
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    plant = draw(st.sampled_from(["none", "zero row", "repeated row", "zero block"]))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    c = draw(st.integers(min_value=0, max_value=n - 1))
+    if plant == "zero row":
+        rows[r] = [0] * n
+    if plant == "repeated row" and r != c:
+        rows[max(r, c)] = list(rows[min(r, c)])
+    if plant == "zero block":
+        for i in range(r, n):
+            for j in range(c + 1):
+                rows[i][j] = 0
+    return ExactMatrix.from_rows(rows)
+
+
+def evaluated(value, point):
+    return value.eval(point) if isinstance(value, MultiPoly) else Fraction(value)
+
+
+nonzero_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+
+
+@given(polynomial_matrices(), st.tuples(nonzero_rationals, nonzero_rationals))
+def test_laplace_over_polynomials_evaluates_to_bareiss(m, point):
+    value = det_laplace(m)
+    at_point = ExactMatrix(m.rows, m.cols, [evaluated(e, point) for e in m.entries])
+    assert evaluated(value, point) == det_bareiss(at_point)
+
+
+def test_laplace_result_type_counts_zero_terms():
+    # a zero term still makes the sum a MultiPoly (or a Fraction), as the
+    # unskipped cofactor sum would
+    x, y = MultiPoly.variables(2)
+    for rows, kind, value in (
+        ([[x, y], [0, 0]], MultiPoly, 0),
+        ([[x, 1], [1, 0]], MultiPoly, -1),
+        ([[Fraction(1, 2), 1], [0, 0]], Fraction, 0),
+        ([[2, 1], [1, 1]], int, 1),
+    ):
+        got = det_laplace(ExactMatrix.from_rows(rows))
+        assert type(got) is kind and got == value, rows
+
+
 # --- minors ------------------------------------------------------------------
 
 

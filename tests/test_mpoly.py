@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import lefdet
 from lefdet.formulas import SplitForms, det_closed_form, det_schur_expansion, symbolic_forms
-from lefdet.mpoly import FIELD, MAX_EXPONENT, MultiPoly, parse_int, render
+from lefdet.mpoly import FIELD, MAX_EXPONENT, MultiPoly, _pack, parse_int, render
 from lefdet.ring import RingParams, det_direct
 
 
@@ -134,6 +134,142 @@ def naive_product(p, q):
 def test_packed_product_matches_tuple_product(p, q):
     assert (p * q).terms == naive_product(p, q)
     assert dict((p * q).terms) == naive_product(q, p)
+
+
+nonzero_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]),
+    st.fractions(max_denominator=9).filter(bool),
+)
+
+
+@st.composite
+def monomials(draw, arity=4):
+    expo = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(arity))
+    return MultiPoly(arity, {expo: draw(nonzero_coefficients)})
+
+
+def stored_exactly(p):
+    """Nonzero coefficients, each an int when integral and a Fraction otherwise."""
+    return all(
+        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in p._terms.values()
+    )
+
+
+@given(monomials(), polys(arity=4, max_terms=10))
+def test_monomial_product_matches_tuple_product_on_either_side(m, p):
+    for product in (m * p, p * m, m * m):
+        assert stored_exactly(product)
+    assert (m * p).terms == naive_product(m, p)
+    assert (p * m).terms == naive_product(p, m)
+    assert (m * m).terms == naive_product(m, m)
+
+
+def test_monomial_product_settles_coefficients():
+    x, y = MultiPoly.variables(2)
+    half_x, two_y = Fraction(1, 2) * x, 2 * y
+    for product in (half_x * two_y, two_y * half_x):
+        assert product._terms == {_pack((1, 1)): 1}
+        assert type(product._terms[_pack((1, 1))]) is int
+    assert (-x) * (x + y) == -(x**2) - x * y
+    assert (x + Fraction(1, 3)) * (3 * y) == 3 * x * y + y
+
+
+def naive_sum(p, q):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@given(polys(arity=4, max_terms=10), polys(arity=4, max_terms=3))
+def test_sum_matches_tuple_sum_whichever_side_is_larger(p, q):
+    for total in (p + q, q + p, p - q, q - p):
+        assert stored_exactly(total)
+    assert (p + q).terms == naive_sum(p, q) == (q + p).terms
+    assert (p - q).terms == naive_sum(p, -q)
+
+
+@given(polys(arity=4, max_terms=10))
+def test_sums_that_cancel_leave_the_empty_polynomial(p):
+    for zero in (p + (-p), (-p) + p, p - p):
+        assert zero._terms == {} and not zero and zero == 0 and zero.terms == {}
+    half = Fraction(1, 2) * p
+    assert half + half == p and stored_exactly(half + half)
+
+
+def test_operands_of_different_arity_are_rejected():
+    x2, x3 = MultiPoly.variable(2, 0), MultiPoly.variable(3, 0)
+    wide = x3 + MultiPoly.variable(3, 1) + 1
+    for a, b in ((x2, x3), (x3, x2), (x2, wide), (wide, x2)):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+            with pytest.raises(ValueError, match="arity mismatch"):
+                op()
+        assert a != b
+
+
+def test_carry_guard_covers_monomial_times_polynomial():
+    top = MAX_EXPONENT
+    x = MultiPoly.variable(2, 0)
+    poly = MultiPoly(2, {(top, 0): 1, (0, 1): 3})
+    for mono in (x, 2 * x, Fraction(-1, 2) * x):
+        with pytest.raises(OverflowError):
+            mono * poly
+        with pytest.raises(OverflowError):
+            poly * mono
+    edge = MultiPoly(2, {(top - 1, 0): 1, (0, 1): 3})
+    assert (x * edge).terms == {(top, 0): 1, (1, 1): 3}
+
+
+# p op v for p = 2*x0 + 1/2*x1 + 3 and v given as source text: the rendered
+# result, "self" when p itself comes back, or the exception raised; for
+# (+, -, *).  v + p and v * p give the same as p + v and p * v, v - p the
+# negation of p - v, and p == v is False for every v.
+SCALAR_PARITY = {
+    "0": ("self", "2*x0 + 1/2*x1 + 3", "0"),
+    "1": ("2*x0 + 1/2*x1 + 4", "2*x0 + 1/2*x1 + 2", "self"),
+    "-2": ("2*x0 + 1/2*x1 + 1", "2*x0 + 1/2*x1 + 5", "-4*x0 - x1 - 6"),
+    "Fraction(1, 3)": ("2*x0 + 1/2*x1 + 10/3", "2*x0 + 1/2*x1 + 8/3", "2/3*x0 + 1/6*x1 + 1"),
+    "Fraction(4, 2)": ("2*x0 + 1/2*x1 + 5", "2*x0 + 1/2*x1 + 1", "4*x0 + x1 + 6"),
+    "True": (ValueError, ValueError, "self"),
+    "False": ("self", ValueError, "0"),
+    "1.5": (TypeError, TypeError, TypeError),
+    "0.0": (TypeError, TypeError, TypeError),
+}
+
+
+def _outcome(p, fn):
+    try:
+        got = fn()
+    except Exception as exc:
+        return type(exc)
+    return "self" if got is p else render(got)
+
+
+@pytest.mark.parametrize("text", sorted(SCALAR_PARITY))
+def test_scalar_operands_give_the_pinned_result_or_exception(text):
+    x, y = MultiPoly.variables(2)
+    p = 2 * x + Fraction(1, 2) * y + 3
+    v = eval(text)
+    add, sub, mul = SCALAR_PARITY[text]
+    assert _outcome(p, lambda: p + v) == add == _outcome(p, lambda: v + p)
+    assert _outcome(p, lambda: p * v) == mul == _outcome(p, lambda: v * p)
+    assert _outcome(p, lambda: p - v) == sub
+    if isinstance(sub, str):
+        assert render(v - p) == render(-(p - v))
+    else:
+        with pytest.raises(sub):
+            v - p
+    assert (p == v) is False and (v == p) is False
+
+
+def test_constant_equality_against_scalars_is_pinned():
+    two, one, zero = MultiPoly.constant(2, 2), MultiPoly.constant(2, 1), MultiPoly(2)
+    for poly, v, equal in (
+        (two, 2, True), (two, Fraction(4, 2), True), (two, True, False), (two, 2.0, False),
+        (one, True, True), (one, 1.0, False), (zero, False, True), (zero, 0.0, False),
+    ):
+        assert (poly == v) is equal and (v == poly) is equal, (poly, v)
 
 
 def test_integral_coefficients_are_stored_as_int():

@@ -78,6 +78,12 @@ def test_text_round_trip():
 # --- conjugate ---------------------------------------------------------------
 
 
+def test_padded_fills_with_zeros_up_to_the_length():
+    assert Partition((3, 1)).padded(4) == (3, 1, 0, 0)
+    assert Partition((3, 1)).padded(2) == (3, 1)
+    assert Partition().padded(3) == (0, 0, 0)
+
+
 def test_conjugate_empty():
     assert Partition().conjugate() == Partition()
 

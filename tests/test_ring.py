@@ -195,6 +195,13 @@ def test_matrix_degree_range_errors():
         mult_matrix_block(rp, [F(1, 1)] * 3, 2)
 
 
+def test_block_degree_guard_reports_its_own_range():
+    # k + u past the socle must stop at the block's guard; a later ValueError
+    # from basis(rp, k + u) would hide a guard that lets it through
+    with pytest.raises(ValueError, match=r"^degrees 2\.\.5 outside 0\.\.4$"):
+        mult_matrix_block(RingParams(2, 2), [LinearForm(1, 1)] * 3, 2)
+
+
 def test_block_equals_chained_single_form_matrices():
     rng = random.Random(9)
     for d in range(1, 7):

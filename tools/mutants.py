@@ -7,6 +7,9 @@ the unmutated copy, which must exit 0, then once per row of ``MUTANTS`` with
 that row's edit applied, which must exit 1 and name the reproduce command on
 stderr.  A row's ``old`` text must occur exactly once in its file, so a row
 that no longer matches the source fails loudly instead of testing nothing.
+Children run with ``-B``: a cached ``.pyc`` is keyed on the source's size
+and whole-second mtime, so bytecode written for the unmutated copy could
+otherwise stand in for a same-length mutant written within the same second.
 Exit 0 when every mutant is killed, 1 otherwise.  Standard library only; each
 run of ``COMMAND`` takes under half a second on a 2-vCPU host.
 """
@@ -115,7 +118,7 @@ MUTANTS = [
 def run(src: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
-        [sys.executable, *COMMAND], env=env, stdout=subprocess.DEVNULL,
+        [sys.executable, "-B", *COMMAND], env=env, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True,
     )
 
