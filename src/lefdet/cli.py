@@ -182,11 +182,12 @@ def cell_rng(seed: int, *coords) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+_NONZERO_DIGITS = [n for n in range(-9, 10) if n]
+
+
 def random_rational(rng: random.Random, allow_zero: bool = False) -> Fraction:
-    num = rng.randint(-9, 9) if allow_zero else rng.choice(
-        [n for n in range(-9, 10) if n]
-    )
-    den = rng.choice([n for n in range(-9, 10) if n])
+    num = rng.randint(-9, 9) if allow_zero else rng.choice(_NONZERO_DIGITS)
+    den = rng.choice(_NONZERO_DIGITS)
     return Fraction(num, den)
 
 

@@ -60,7 +60,7 @@ from itertools import combinations
 from math import comb, perm, prod
 
 from ._record import Record, set_field
-from .linalg import ExactMatrix, det
+from .linalg import det
 from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, rectangle
 from .ring import (
@@ -71,7 +71,7 @@ from .ring import (
     dim,
     scaled_forms,
 )
-from .symfunc import HomogPair, schur, schur_homog
+from .symfunc import HomogPair, e_matrix, schur, schur_homog
 
 
 def form_pair(forms) -> HomogPair:
@@ -279,10 +279,11 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     over 0..width+k, P[c][j] = E_first[c-k+j] and Q[c][j] = E_second[d+k-c-j]
     (zero outside the pair's table); the rows c_i = lam_i + k - i of P are
     lam's Jacobi-Trudi matrix, and the same rows of Q are mu's with both
-    indices reversed, so no sign appears.  By Cauchy-Binet the box sum is
-    det(P^T Q).  A lam with lam_0 > d gives the row d - lam_0 - j < 0 of Q,
-    all zero, so the skipped summands contribute nothing and number
-    C(width+r, r) - C(min(width, d)+r, r).
+    indices reversed, so no sign appears.  ``symfunc.e_matrix`` reads both
+    from the groups' tables, each built once per cell: P^T's rows ascending,
+    Q's descending.  By Cauchy-Binet the box sum is det(P^T Q).  A lam with
+    lam_0 > d gives the row d - lam_0 - j < 0 of Q, all zero, so the skipped
+    summands contribute nothing and number C(width+r, r) - C(min(width, d)+r, r).
 
     Each case is evaluated on the split of ``scaled_forms``' forms, times its
     factor.
@@ -308,29 +309,28 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
         )
         cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value * factor, 0))
 
-    def box_sum(width, first_pair, second_pair):
+    if q < k:
+        return cases  # cases 2-4 all need k <= q
+    check_table, hat_table = check_pair.table(), hat_pair.table()
+
+    def box_sum(width, first, second):
         # det(P^T Q) by Cauchy-Binet, P and Q as in the docstring
-        r, first, second = k + 1, first_pair.table(), second_pair.table()
-
-        def at(table, m):
-            return table[m] if 0 <= m < len(table) else 0
-
-        rows = range(width + r)
-        pt = ExactMatrix(r, len(rows), [at(first, c - k + j) for j in range(r) for c in rows])
-        qm = ExactMatrix(len(rows), r, [at(second, d + k - c - j) for c in rows for j in range(r)])
+        r, w = k + 1, width + k + 1
+        pt = e_matrix(first, [range(j - k, j - k + w) for j in range(r)])
+        qm = e_matrix(second, [range(d + k - c, d + k - c - r, -1) for c in range(w)])
         skipped = comb(width + r, r) - comb(min(width, d) + r, r)
         return det(pt @ qm) * factor, skipped
 
     if k + u <= q:
-        cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_pair, hat_pair)))
+        cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_table, hat_table)))
 
-    if k <= q and d <= k + u:
+    if d <= k + u:
         cases.append(
-            LiteralCase(3, "0 <= k <= q <= d <= k+u", *box_sum(u, hat_pair, check_pair))
+            LiteralCase(3, "0 <= k <= q <= d <= k+u", *box_sum(u, hat_table, check_table))
         )
 
-    if k <= q <= k + u <= d:
-        cases.append(LiteralCase(4, "k <= q <= k+u <= d", *box_sum(q - k, check_pair, hat_pair)))
+    if q <= k + u <= d:
+        cases.append(LiteralCase(4, "k <= q <= k+u <= d", *box_sum(q - k, check_table, hat_table)))
 
     return cases
 

@@ -65,11 +65,9 @@ class ExactMatrix(Record):
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        entries = []
-        for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                entries.append(sum(row[i] * other[i, c] for i in range(self.cols)))
+        rows = [self.row(r) for r in range(self.rows)]
+        columns = [other.entries[c :: other.cols] for c in range(other.cols)]
+        entries = [sum(x * y for x, y in zip(row, column)) for row in rows for column in columns]
         return ExactMatrix(self.rows, other.cols, entries)
 
     def __repr__(self):

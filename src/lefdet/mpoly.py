@@ -160,7 +160,11 @@ class MultiPoly:
 
     @classmethod
     def variables(cls, arity: int) -> list["MultiPoly"]:
-        return [cls.variable(arity, i) for i in range(arity)]
+        """Every ``variable(arity, i)``, built straight into the packed store."""
+        require_int("arity", arity)
+        if arity < 0:
+            raise ValueError("arity must be nonnegative")
+        return [_poly(arity, {1 << FIELD * (arity - 1 - i): 1}, 1) for i in range(arity)]
 
     @property
     def terms(self) -> "TermView":

@@ -16,8 +16,9 @@ ratio vector a/b.  E_k(a; b) sums, over k-subsets S, the product of a over S
 times the product of b off S, so E_k(a; b) = (prod b) * e_k(a/b) whenever no
 b entry vanishes; the determinant variants carry the matching power of
 prod b.  They are polynomial in a and b, hence defined with zero entries too.
-The table [E_0, ..., E_n] belongs to the pair (``HomogPair.table``), and
-``schur_homog`` is the one kernel that builds a Jacobi-Trudi matrix from it.
+The table [E_0, ..., E_n] belongs to the pair (``HomogPair.table``);
+``e_matrix`` is the one reader of its rows, zero off the table, and
+``schur_homog`` is the one kernel that builds a Jacobi-Trudi matrix with it.
 ``elementary`` and ``schur_jacobi_trudi`` run on that kernel at the pair
 (values; 1, ..., 1), since E_k(a; 1) = e_k(a), and share its exactness check.
 """
@@ -60,6 +61,16 @@ class HomogPair(Record):
         return table
 
 
+def e_matrix(table, index_rows) -> ExactMatrix:
+    """Row i holds table[m] for each m in index_rows[i], 0 where m is off the table.
+
+    The one reader of an E-table: Jacobi-Trudi matrices and the literal
+    audit's Toeplitz blocks are such row selections.
+    """
+    n = len(table)
+    return ExactMatrix.from_rows([table[m] if 0 <= m < n else 0 for m in row] for row in index_rows)
+
+
 def _unit_pair(values) -> HomogPair:
     """The pair (values; 1, ..., 1), whose E_k are the e_k of the values."""
     values = tuple(values)
@@ -100,16 +111,10 @@ def schur_homog(lam: Partition, pair: HomogPair, rows: int | None = None):
     require_int("rows", size)
     if size < len(lam):
         raise ValueError(f"rows={rows} cannot hold {len(lam)} parts")
-    table = pair.table()
     if size == 0:
         return 1
-    parts = lam.padded(size)
-
-    def at(k: int):
-        return table[k] if 0 <= k < len(table) else 0
-
-    entries = [at(parts[i] + j - i) for i in range(size) for j in range(size)]
-    return det(ExactMatrix(size, size, entries))
+    jt_rows = [range(p - i, p - i + size) for i, p in enumerate(lam.padded(size))]
+    return det(e_matrix(pair.table(), jt_rows))
 
 
 def schur_bialternant(lam: Partition, values) -> Fraction:

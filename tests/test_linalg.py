@@ -117,6 +117,17 @@ def test_det_is_multiplicative():
         assert det(m1 @ m2) == det(m1) * det(m2)
 
 
+def test_matmul_of_rectangular_and_empty_shapes():
+    a = ExactMatrix.from_rows([[1, 2, Fraction(1, 2)], [0, -1, 3]])
+    b = ExactMatrix.from_rows([[4], [5], [6]])
+    assert (a @ b).entries == (17, 13) and (a @ b).cols == 1
+    inner_empty = ExactMatrix(2, 0, []) @ ExactMatrix(0, 3, [])
+    assert (inner_empty.rows, inner_empty.cols, inner_empty.entries) == (2, 3, (0,) * 6)
+    assert (b @ ExactMatrix(1, 0, [])).entries == ()
+    with pytest.raises(ValueError, match="cannot multiply"):
+        a @ a
+
+
 def test_det_rejects_inexact_entries():
     with pytest.raises(ValueError, match="not exact"):
         det(ExactMatrix(1, 1, [0.5]))

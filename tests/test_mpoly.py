@@ -303,6 +303,22 @@ def test_arity_zero():
         MultiPoly.variable(0, 0)
 
 
+def test_variables_are_the_generators_variable_builds():
+    def fields(p):
+        return p.arity, [(k, type(c), c) for k, c in p._terms.items()], p._top, hash(p)
+
+    for arity in range(9):
+        assert [fields(v) for v in MultiPoly.variables(arity)] == [
+            fields(MultiPoly.variable(arity, i)) for i in range(arity)
+        ]
+        assert [v.terms for v in MultiPoly.variables(arity)] == [
+            MultiPoly.variable(arity, i).terms for i in range(arity)
+        ]
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError):
+            MultiPoly.variables(bad)
+
+
 def test_term_view_reads_like_a_dict():
     x, y = MultiPoly.variables(2)
     p = 2 * x**2 * y - y + Fraction(1, 3)

@@ -8,6 +8,7 @@ from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle
 from lefdet.symfunc import (
     HomogPair,
+    e_matrix,
     elementary,
     elementary_homog,
     schur,
@@ -159,6 +160,26 @@ def test_schur_homog_row_padding_carries_denominator_product():
     assert schur_homog(lam, pair, rows=3) == base * (5 * 7) ** 2
     with pytest.raises(ValueError):
         schur_homog(Partition([1, 1]), pair, rows=1)
+
+
+def test_e_matrix_reads_ascending_and_descending_rows():
+    table = [1, 5, 7, 2]
+    m = e_matrix(table, [range(0, 3), range(3, 0, -1), range(1, 4)])
+    assert (m.rows, m.cols) == (3, 3)
+    assert m.entries == (1, 5, 7, 2, 7, 5, 5, 7, 2)
+
+
+def test_e_matrix_reads_zero_off_the_table():
+    table = [Fraction(1, 2), 3]
+    m = e_matrix(table, [range(-2, 2), range(1, -3, -1), range(-4, 0), range(2, 6)])
+    assert m.entries == (0, 0, Fraction(1, 2), 3, 3, Fraction(1, 2), 0, 0) + (0,) * 8
+
+
+def test_e_matrix_of_no_rows_is_the_empty_matrix():
+    m = e_matrix([1, 2, 3], [])
+    assert (m.rows, m.cols, m.entries) == (0, 0, ())
+    with pytest.raises(ValueError, match="ragged"):
+        e_matrix([1, 2, 3], [range(2), range(3)])
 
 
 def test_empty_variable_list_conventions():

@@ -90,9 +90,15 @@ MUTANTS = [
     ),
     (
         "lefdet/symfunc.py",
-        "at(parts[i] + j - i)",
-        "at(parts[i] + i - j)",
+        "range(p - i, p - i + size)",
+        "range(p + i, p + i - size, -1)",
         "Jacobi-Trudi entries read E at lam_i + i - j instead of lam_i - i + j",
+    ),
+    (
+        "lefdet/symfunc.py",
+        "if 0 <= m < n else 0",
+        "if 0 <= m < n else 1",
+        "e_matrix reads 1 instead of 0 off the E-table",
     ),
     (
         "lefdet/ring.py",
