@@ -293,6 +293,7 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
         return lattice_cells(dmax)
     if args.q is None:
         raise ValueError("--q is required with --d")
+    RingParams(args.d, args.q)  # a bad ring fails its own rule, not as "selects no cell"
     cells = [
         cell for cell in ring_cells(args.d, args.q)
         if args.k in (None, cell[2]) and args.u in (None, cell[3])

@@ -121,19 +121,9 @@ class SplitForms(Record):
 class ExpansionTerm(Record):
     __slots__ = ("delta", "lam", "nu", "value")
 
-    def __init__(self, delta: tuple[int, ...], lam: Partition, nu: Partition, value):
-        set_field(self, "delta", delta)
-        set_field(self, "lam", lam)
-        set_field(self, "nu", nu)
-        set_field(self, "value", value)
-
 
 class Expansion(Record):
     __slots__ = ("value", "terms")
-
-    def __init__(self, value, terms: tuple[ExpansionTerm, ...]):
-        set_field(self, "value", value)
-        set_field(self, "terms", terms)
 
 
 def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
@@ -223,18 +213,9 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
 class SlpEntry(Record):
     __slots__ = ("k", "det", "nonzero")
 
-    def __init__(self, k: int, det, nonzero: bool):
-        set_field(self, "k", k)
-        set_field(self, "det", det)
-        set_field(self, "nonzero", nonzero)
-
 
 class SlpReport(Record):
     __slots__ = ("entries", "holds")
-
-    def __init__(self, entries: tuple[SlpEntry, ...], holds: bool):
-        set_field(self, "entries", entries)
-        set_field(self, "holds", holds)
 
 
 def slp_check(rp: RingParams, form: LinearForm) -> SlpReport:
@@ -252,12 +233,6 @@ def slp_check(rp: RingParams, form: LinearForm) -> SlpReport:
 
 class LiteralCase(Record):
     __slots__ = ("case_id", "condition", "value", "skipped_terms")
-
-    def __init__(self, case_id: int, condition: str, value, skipped_terms: int):
-        set_field(self, "case_id", case_id)
-        set_field(self, "condition", condition)
-        set_field(self, "value", value)
-        set_field(self, "skipped_terms", skipped_terms)
 
 
 class LiteralCaseUndefined(ValueError):
@@ -350,12 +325,6 @@ def duality_check(r: int, m: int, a, b) -> ComplementIdentityResult:
 class ComplementIdentityResult(Record):
     __slots__ = ("mu", "lhs", "rhs", "equal")
 
-    def __init__(self, mu: Partition, lhs, rhs, equal: bool):
-        set_field(self, "mu", mu)
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "equal", equal)
-
 
 def complement_identity_check(
     lam: Partition, r: int, n: int, x, y
@@ -388,26 +357,6 @@ class CellRecord(Record):
     """
 
     __slots__ = ("rp", "k", "split", "direct", "expansion", "closed", "literal", "literal_error")
-
-    def __init__(
-        self,
-        rp: RingParams,
-        k: int,
-        split: SplitForms,
-        direct,
-        expansion: Expansion,
-        closed,
-        literal: tuple[LiteralCase, ...],
-        literal_error: str | None,
-    ):
-        set_field(self, "rp", rp)
-        set_field(self, "k", k)
-        set_field(self, "split", split)
-        set_field(self, "direct", direct)
-        set_field(self, "expansion", expansion)
-        set_field(self, "closed", closed)
-        set_field(self, "literal", literal)
-        set_field(self, "literal_error", literal_error)
 
     @property
     def expansion_matches(self) -> bool:

@@ -226,11 +226,6 @@ def minor_det(m: ExactMatrix, rowset, colset):
 class CauchyBinetResult(Record):
     __slots__ = ("lhs", "rhs", "equal")
 
-    def __init__(self, lhs, rhs, equal: bool):
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "equal", equal)
-
 
 def cauchy_binet_check(Y: ExactMatrix, X: ExactMatrix) -> CauchyBinetResult:
     """det(YX) against the sum of maximal-minor products, independently.

@@ -153,10 +153,10 @@ class MultiPoly:
     @classmethod
     def variable(cls, arity: int, index: int) -> "MultiPoly":
         require_int("variable index", index)
+        generators = cls.variables(arity)
         if not 0 <= index < arity:
             raise ValueError(f"variable index {index} out of range for arity {arity}")
-        expo = tuple(1 if i == index else 0 for i in range(arity))
-        return cls(arity, {expo: 1})
+        return generators[index]
 
     @classmethod
     def variables(cls, arity: int) -> list["MultiPoly"]:

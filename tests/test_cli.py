@@ -539,6 +539,18 @@ def test_vacuous_sweeps_are_usage_errors(capsys, argv):
     assert code == 2 and "error" in doc
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--d", "-5", "--q", "1"], "need d >= q >= 1, got d=-5, q=1"),
+        (["sweep", "--d", "1", "--q", "-2"], "need d >= q >= 1, got d=1, q=-2"),
+    ],
+)
+def test_single_cell_mode_reports_a_bad_ring_by_the_ring_rule(capsys, argv, message):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2 and doc["error"] == message
+
+
 def test_threads_flag_is_accepted_and_ignored(capsys):
     args = ["sweep", "--dmax", "3", "--trials", "1", "--seed", "4"]
     _, plain = run(capsys, *args)

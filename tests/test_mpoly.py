@@ -314,9 +314,11 @@ def test_variables_are_the_generators_variable_builds():
         assert [v.terms for v in MultiPoly.variables(arity)] == [
             MultiPoly.variable(arity, i).terms for i in range(arity)
         ]
-    for bad in (-1, True, 2.0):
+    for bad in (-1, True, 2.0, "a"):
         with pytest.raises(ValueError):
             MultiPoly.variables(bad)
+        with pytest.raises(ValueError):
+            MultiPoly.variable(bad, 0)
 
 
 def test_term_view_reads_like_a_dict():

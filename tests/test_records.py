@@ -4,7 +4,9 @@ Each type is a record of named fields: equal fields give equal values and
 equal hashes, values of different types never compare equal, fields cannot be
 assigned or deleted, ``repr`` spells the fields out (``Partition`` and
 ``ExactMatrix`` keep their own short forms), keyword construction works, and
-``pickle`` and ``copy`` rebuild an equal value.
+``pickle`` and ``copy`` rebuild an equal value.  The eight plain records
+take their constructor from the base and bind arguments as a Python
+signature would; the seven that validate keep their own.
 """
 
 import copy
@@ -231,3 +233,43 @@ def test_construction_still_validates():
     ):
         with pytest.raises(ValueError):
             bad()
+
+
+PLAIN = [
+    ExpansionTerm,
+    Expansion,
+    SlpEntry,
+    SlpReport,
+    LiteralCase,
+    ComplementIdentityResult,
+    CellRecord,
+    CauchyBinetResult,
+]
+VALIDATING = [RingParams, SwappedParams, LinearForm, Partition, HomogPair, ExactMatrix, SplitForms]
+
+
+def test_every_type_is_plain_or_validating():
+    assert sorted(t.__name__ for t in PLAIN + VALIDATING) == sorted(t.__name__ for t in RECORDS)
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_plain_records_bind_their_arguments_like_a_signature(cls):
+    assert "__init__" not in vars(cls)
+    fields, kwargs, _ = RECORDS[cls]
+    values = tuple(kwargs.values())
+    rest = {name: kwargs[name] for name in fields[1:]}
+    assert cls(*values[:1], **rest) == cls(**kwargs)
+    for bad in (
+        lambda: cls(*values, 0),  # one positional argument too many
+        lambda: cls(**kwargs, unknown=0),  # an unknown keyword
+        lambda: cls(*values[:1], **kwargs),  # the first field by position and keyword
+        lambda: cls(*values[:-1]),  # the last field missing
+        lambda: cls(**rest),  # the first field missing
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
+@pytest.mark.parametrize("cls", VALIDATING, ids=lambda cls: cls.__name__)
+def test_validating_records_keep_their_own_constructor(cls):
+    assert "__init__" in vars(cls)
