@@ -21,8 +21,12 @@ The closed form and the literal audit, like ``det_direct``, evaluate on the
 forms of ``ring.scaled_forms`` and multiply by its one factor; its docstring
 says why one factor serves every route.  Rational forms thus run in ``int``.
 ``scaled_forms`` also applies the cell rule, so it is the one gate through
-which those three routes enter a cell.  The expansion evaluates each term on
-the forms as given, and so does ``det_power``; both call ``check_cell``.
+which those three routes enter a cell: each public route is the gate plus a
+private evaluator of the gate's forms and factor.  ``discrepancy_report``
+calls the gate once per trial and passes its result to all three
+evaluators, so a record scales its cell once.  The expansion evaluates each
+term on the forms as given, and so does ``det_power``; both call
+``check_cell``.
 
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
@@ -66,8 +70,8 @@ from .partitions import Partition, rectangle
 from .ring import (
     LinearForm,
     RingParams,
+    _det_direct_scaled,
     check_cell,
-    det_direct,
     dim,
     scaled_forms,
 )
@@ -170,7 +174,11 @@ def det_closed_form(rp: RingParams, k: int, forms):
     on every input, zero coefficients included.  Evaluated on
     ``scaled_forms``' forms, times its factor.
     """
-    scaled, factor = scaled_forms(rp, k, forms)
+    return _closed_form_scaled(rp, k, *scaled_forms(rp, k, forms))
+
+
+def _closed_form_scaled(rp: RingParams, k: int, scaled, factor):
+    """``det_closed_form``'s value from the forms and factor of ``scaled_forms``."""
     width, height = _rectangle_sides(rp, k)
     return schur_homog(rectangle(width, height), form_pair(scaled), rows=height) * factor
 
@@ -268,12 +276,18 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     general.  Compare via ``discrepancy_report``.
     """
     scaled, factor = scaled_forms(rp, k, sf.all_forms)
+    return _literal_cases_scaled(rp, k, SplitForms.split(scaled, sf.u), factor)
+
+
+def _literal_cases_scaled(rp: RingParams, k: int, evaluated: SplitForms, factor):
+    """``det_literal_cases``' cases from the split of ``scaled_forms``' forms
+    and its factor.  Scaling keeps every zero coefficient, so the precondition
+    reads the same on either split."""
     d, q = rp.d, rp.q
-    u = sf.u
-    v = len(sf.hat)
-    if any(f.b == 0 for f in sf.check) or any(f.a == 0 for f in sf.hat):
+    u = evaluated.u
+    v = len(evaluated.hat)
+    if any(f.b == 0 for f in evaluated.check) or any(f.a == 0 for f in evaluated.hat):
         raise LiteralCaseUndefined("literal case formula undefined: a group product vanishes")
-    evaluated = SplitForms.split(scaled, u)
     check_pair = evaluated.check_pair()
     hat_pair = evaluated.hat_pair()
     cases = []
@@ -379,12 +393,19 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     The closed form is computed on every split: it is the determinant of the
     unsplit product, which the split does not change.  ``literal_error`` is
     set only by ``LiteralCaseUndefined``; any other error propagates.
+
+    The cell is scaled once: the direct route, the closed form and the audit
+    take ``scaled_forms``' forms and factor from this one call, and each
+    returns what its public function returns on the same forms.  The
+    expansion evaluates on the split as given.
     """
-    direct = det_direct(rp, k, sf.all_forms)
+    scaled, factor = scaled_forms(rp, k, sf.all_forms)
+    direct = _det_direct_scaled(rp, k, scaled, factor)
     expansion = det_schur_expansion(rp, k, sf)
-    closed = det_closed_form(rp, k, sf.all_forms)
+    closed = _closed_form_scaled(rp, k, scaled, factor)
+    evaluated = SplitForms.split(scaled, sf.u)
     try:
-        literal, literal_error = tuple(det_literal_cases(rp, k, sf)), None
+        literal, literal_error = tuple(_literal_cases_scaled(rp, k, evaluated, factor)), None
     except LiteralCaseUndefined as exc:
         literal, literal_error = (), str(exc)
     return CellRecord(rp, k, sf, direct, expansion, closed, literal, literal_error)

@@ -53,14 +53,22 @@ class ExactMatrix(Record):
 
     def __getitem__(self, rc):
         r, c = rc
+        require_int("matrix index", r, c)
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
         return self.entries[r * self.cols + c]
 
     def row(self, r: int):
+        # runs once per Bareiss row: one type test, one chained comparison
+        if type(r) is not int:
+            raise ValueError(f"row index {r!r} is not an int")
+        if not 0 <= r < self.rows:
+            raise IndexError(f"row {r} outside {self.rows}x{self.cols}")
         return self.entries[r * self.cols : (r + 1) * self.cols]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"

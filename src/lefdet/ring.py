@@ -15,9 +15,11 @@ ordered product of the single-form matrices.
 ``scaled_forms`` is the package's one gate into a cell: it applies the cell
 rule of ``check_cell``, takes rational forms to primitive integer pairs with
 ``linalg.primitive_part``, and owns the one factor that undoes it (its docstring states
-the degree fact behind that factor).  ``det_direct`` builds and reduces its
-matrix in ``int`` on those pairs, and the closed form and the literal audit
-in ``formulas`` evaluate on them too.
+the degree fact behind that factor).  Each public integer route is that gate
+plus a private evaluator of its forms and factor: ``det_direct`` here, whose
+evaluator builds and reduces its matrix in ``int``, and the closed form and
+the literal audit in ``formulas``.  ``formulas.discrepancy_report`` calls
+the gate once per trial and hands its result to all three evaluators.
 """
 
 from __future__ import annotations
@@ -218,5 +220,9 @@ def det_direct(rp: RingParams, k: int, forms):
     ``scaled_forms``' forms, so rational input is reduced in ``int`` only and
     returns a ``Fraction``.
     """
-    scaled, factor = scaled_forms(rp, k, forms)
+    return _det_direct_scaled(rp, k, *scaled_forms(rp, k, forms))
+
+
+def _det_direct_scaled(rp: RingParams, k: int, scaled, factor):
+    """``det_direct``'s value from the forms and factor of ``scaled_forms``."""
     return det(mult_matrix_block(rp, scaled, k)) * factor

@@ -397,7 +397,9 @@ def test_verify_rejects_out_of_range_k(capsys):
 def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
     import lefdet.formulas as formulas
 
-    monkeypatch.setattr(formulas, "det_closed_form", lambda rp, k, forms: Fraction(10**9))
+    monkeypatch.setattr(
+        formulas, "_closed_form_scaled", lambda rp, k, scaled, factor: Fraction(10**9)
+    )
     code, doc = run_json(
         capsys, "verify", "--d", "1", "--q", "1", "--k", "0", "--trials", "1"
     )
@@ -449,9 +451,11 @@ def closed_form_off_by_one(monkeypatch):
     """Make the closed form in every cell record wrong by 1."""
     import lefdet.formulas as formulas
 
-    exact = formulas.det_closed_form
+    exact = formulas._closed_form_scaled
     monkeypatch.setattr(
-        formulas, "det_closed_form", lambda rp, k, forms: exact(rp, k, forms) + 1
+        formulas,
+        "_closed_form_scaled",
+        lambda rp, k, scaled, factor: exact(rp, k, scaled, factor) + 1,
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lefdet.formulas import (
+    LiteralCaseUndefined,
     SplitForms,
     _rectangle_sides,
     _rectangle_tableaux,
@@ -636,6 +637,57 @@ def test_report_mixed_split_flags_literal_only():
     assert record.closed == record.direct == 43 and record.closed_matches is True
     flagged = [c for c in record.literal if c.value != record.direct]
     assert flagged and all(c.value == 36 for c in record.literal)
+
+
+def test_one_report_scales_its_cell_once(monkeypatch):
+    # the direct route, the closed form and the audit share one scaled cell
+    import lefdet.formulas as formulas
+    import lefdet.ring as ring
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scaled_forms(*args)
+
+    monkeypatch.setattr(ring, "scaled_forms", counted)
+    monkeypatch.setattr(formulas, "scaled_forms", counted)
+    rp = RingParams(3, 2)
+    sf = SplitForms.split([F(1, 2), F(-3, 4), F(5, 1)], 1)
+    record = discrepancy_report(rp, 1, sf)
+    assert record.agrees and record.literal
+    assert len(calls) == 1
+
+
+def test_report_routes_equal_the_public_routes_on_every_lattice_cell():
+    # each record's direct, closed and literal values are what det_direct,
+    # det_closed_form and det_literal_cases return on the same forms
+    from lefdet.cli import lattice_cells, random_form
+
+    def public_literal(rp, k, sf):
+        try:
+            return tuple(det_literal_cases(rp, k, sf)), None
+        except LiteralCaseUndefined as exc:
+            return (), str(exc)
+
+    rng = random.Random(24)
+    records = undefined = 0
+    for d, q, k, u in lattice_cells(7):
+        rp, n = RingParams(d, q), d + q - 2 * k
+        trials = [[random_form(rng) for _ in range(n)],
+                  [random_form(rng, allow_zero=True) for _ in range(n)]]
+        if d + q <= 5:
+            trials.append(symbolic_forms(n)[0])
+        for forms in trials:
+            sf = SplitForms.split(forms, u)
+            record = discrepancy_report(rp, k, sf)
+            assert record.direct == det_direct(rp, k, forms), (d, q, k, u)
+            assert record.closed == det_closed_form(rp, k, forms), (d, q, k, u)
+            assert (record.literal, record.literal_error) == public_literal(rp, k, sf)
+            records += 1
+            undefined += record.literal_error is not None
+    assert records == 2 * len(lattice_cells(7)) + len(lattice_cells(5))
+    assert undefined > 0
 
 
 def test_report_literal_error_recorded_not_raised():

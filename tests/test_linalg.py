@@ -64,6 +64,40 @@ def test_matrix_is_frozen():
     assert m == ExactMatrix(2, 2, [1, 0, 0, 1]) and hash(m) == hash(ExactMatrix.identity(2))
 
 
+def test_row_rejects_an_index_outside_the_matrix():
+    m = ExactMatrix(2, 2, [1, 2, 3, 4])
+    assert m.row(0) == (1, 2) and m.row(1) == (3, 4)
+    for bad in (-1, 2):
+        with pytest.raises(IndexError, match="outside 2x2"):
+            m.row(bad)
+    with pytest.raises(IndexError):
+        ExactMatrix(0, 3, []).row(0)
+
+
+def test_indexing_rejects_a_bool_or_other_non_int_index():
+    m = ExactMatrix(2, 2, [1, 2, 3, 4])
+    assert m[1, 0] == 3
+    for bad in (True, False, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match="not an int"):
+            m[bad, 0]
+        with pytest.raises(ValueError, match="not an int"):
+            m[0, bad]
+        with pytest.raises(ValueError, match="not an int"):
+            m.row(bad)
+    with pytest.raises(IndexError, match="outside 2x2"):
+        m[-1, 0]
+
+
+def test_matmul_by_a_non_matrix_is_a_type_error():
+    m = ExactMatrix(2, 2, [1, 2, 3, 4])
+    for other in (5, Fraction(1, 2), (1, 2, 3, 4), None):
+        with pytest.raises(TypeError):
+            m @ other
+        with pytest.raises(TypeError):
+            other @ m
+    assert m.__matmul__(5) is NotImplemented
+
+
 # --- determinants ------------------------------------------------------------
 
 

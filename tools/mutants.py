@@ -71,6 +71,12 @@ MUTANTS = [
         "closed form applies the scale factor twice",
     ),
     (
+        "lefdet/ring.py",
+        "det(mult_matrix_block(rp, scaled, k)) * factor",
+        "det(mult_matrix_block(rp, scaled, k)) * factor * factor",
+        "direct route applies the scale factor twice",
+    ),
+    (
         "lefdet/formulas.py",
         "return rp.d - k, k + 1",
         "return rp.d - k + 1, k + 1",
