@@ -17,15 +17,29 @@ order in one thread, each by a pure function keyed on (seed, cell
 coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
+``verify`` and ``sweep`` also anchor every cell: the record at d+q-2k copies
+of ``ANCHOR_FORM`` = 2/3 x - 5/7 y must agree, and its direct determinant
+must equal ``det_power``, the hook-content product, which takes no
+determinant, builds no E-table and never calls ``scaled_forms``.  Every route
+of a record reduces through the same ``linalg.det`` and the same scaled
+cell, so a determinant kernel that returns 0, or a scaling fault, makes all
+of them agree on every trial; the anchor still sees it.  The form's scale
+factor is not 1, which ``x + y``'s would be.  An anchor adds nothing to
+stdout.
+
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, at any split, and nothing else,
-2 usage error (argparse's own included), an arithmetic fault (a failed
-exactness check) or any other exception raised inside a subcommand, reported
-as an error document on stdout with nothing on stderr; ``SystemExit`` and
-``KeyboardInterrupt`` pass through.  When
+determinant and the expansion or closed form, at any split, or a failed
+anchor, and nothing else, 2 usage error (argparse's own included), an
+arithmetic fault (a failed exactness check) or any other exception raised
+inside a subcommand, reported as an error document on stdout with nothing on
+stderr; ``SystemExit`` and ``KeyboardInterrupt`` pass through.  When
 ``verify`` or ``sweep`` exits 1, one line on stderr names the first
 mismatching trial and the ``lefdet report`` command that recomputes it, which
-exits 1 on the same disagreement.
+exits 1 on the same disagreement.  When no trial mismatches but an anchor
+fails, ``summary.mismatches`` stays 0 (it counts trials) and the one line
+names the first failing cell and the ``lefdet verify --d D --q Q --k K --u U
+--trials 1`` command that runs that cell's anchor again, which exits 1 on the
+same fault.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -45,6 +59,7 @@ from .formulas import (
     complement_identity_check,
     det_closed_form,
     det_schur_expansion,
+    det_power,
     discrepancy_report,
     duality_check,
     slp_check,
@@ -67,6 +82,9 @@ EXIT_USAGE = 2
 SWEEP_COLUMNS = (
     "d", "q", "k", "u", "seed", "trial", "det_direct", "det_expansion", "det_closed", "match",
 )
+
+# every cell's anchor: two non-integer coefficients, so the scale factor is not 1
+ANCHOR_FORM = LinearForm(Fraction(2, 3), Fraction(-5, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +237,14 @@ def lattice_cells(smax: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zero: bool) -> dict:
+def eval_cell(
+    seed: int, cell: tuple[int, int, int, int], trials: int, allow_zero: bool
+) -> tuple[dict, bool]:
+    """The cell's document, one row per trial, and whether its anchor holds.
+
+    The anchor is the record at n copies of ``ANCHOR_FORM``: it must agree,
+    and its direct value must equal ``det_power`` at that form.
+    """
     d, q, k, u = cell
     rp = RingParams(d, q)
     n = d + q - 2 * k
@@ -241,7 +266,9 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
                 else [audit_doc(c, record.direct) for c in record.literal],
             }
         )
-    return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
+    anchor = discrepancy_report(rp, k, SplitForms.split([ANCHOR_FORM] * n, u))
+    anchored = anchor.agrees and anchor.direct == det_power(rp, k, ANCHOR_FORM)
+    return {"d": d, "q": q, "k": k, "u": u, "trials": rows}, anchored
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +334,18 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     return cells
 
 
-def run_sweep(args) -> tuple[dict, list[dict], int]:
+def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
     """Evaluate the cells that ``verify`` or ``sweep`` selects.
 
-    Returns the inputs document, one result per cell and the number of
-    mismatching trials, and names the first mismatch on stderr with the
-    ``lefdet report`` command that recomputes it.
+    Returns the inputs document, one result per cell, the number of
+    mismatching trials and whether every trial matched and every anchor held.
+    Names the first mismatch on stderr with the ``lefdet report`` command
+    that recomputes it or, when every trial matched, the first failed anchor
+    with the ``lefdet verify`` command that runs it again.
     """
     cells = _sweep_cells(args)
-    results = [eval_cell(args.seed, cell, args.trials, args.allow_zero) for cell in cells]
+    evaluated = [eval_cell(args.seed, cell, args.trials, args.allow_zero) for cell in cells]
+    results = [doc for doc, _ in evaluated]
     mismatches = 0
     for cell in results:
         for row in cell["trials"]:
@@ -332,12 +362,21 @@ def run_sweep(args) -> tuple[dict, list[dict], int]:
                     f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
                 )
             mismatches += 1
+    unanchored = [doc for doc, anchored in evaluated if not anchored]
+    if unanchored and not mismatches:
+        d, q, k, u = (unanchored[0][key] for key in "dqku")
+        sys.stderr.write(
+            f"lefdet: anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the record at "
+            f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} does not "
+            f"give det_power; reproduce with: lefdet verify --d {d} --q {q} --k {k} --u {u} "
+            f"--trials 1\n"
+        )
     inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
-    return inputs, results, mismatches
+    return inputs, results, mismatches, not (mismatches or unanchored)
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
-    inputs, results, mismatches = run_sweep(args)
+    inputs, results, mismatches, agrees = run_sweep(args)
     literal_flagged = sorted(
         {
             (cell["d"], cell["q"], cell["k"], cell["u"])
@@ -356,11 +395,11 @@ def cmd_verify(args) -> tuple[dict, bool]:
             "literal_case_flagged_cells": [list(c) for c in literal_flagged],
         },
     }
-    return body, mismatches == 0
+    return body, agrees
 
 
 def cmd_sweep(args) -> tuple[dict, bool]:
-    inputs, results, mismatches = run_sweep(args)
+    inputs, results, mismatches, agrees = run_sweep(args)
     rows = []
     for cell in results:
         for row in cell["trials"]:
@@ -371,7 +410,7 @@ def cmd_sweep(args) -> tuple[dict, bool]:
         "rows": rows,
         "summary": {"rows": len(rows), "mismatches": mismatches},
     }
-    return body, mismatches == 0
+    return body, agrees
 
 
 def cmd_slp(args) -> tuple[dict, bool]:
@@ -543,7 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     for name, help_text, outputs in (
-        ("verify", "seeded cross-check sweep; exit 1 on any direct mismatch", ("json", "text")),
+        ("verify", "seeded cross-check sweep; exit 1 on any direct mismatch or failed anchor",
+         ("json", "text")),
         ("sweep", "same lattice as a flat per-trial table", ("json", "csv", "text")),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -23,10 +23,19 @@ says why one factor serves every route.  Rational forms thus run in ``int``.
 ``scaled_forms`` also applies the cell rule, so it is the one gate through
 which those three routes enter a cell: each public route is the gate plus a
 private evaluator of the gate's forms and factor.  ``discrepancy_report``
-calls the gate once per trial and passes its result to all three
-evaluators, so a record scales its cell once.  The expansion evaluates each
-term on the forms as given, and so does ``det_power``; both call
-``check_cell``.
+calls the gate once per trial and passes its result to all three evaluators
+and to ``det_schur_expansion``, whose terms and total it multiplies by the
+factor (each term, like the total, is homogeneous of degree dim R_k in
+every form), so a record scales its cell once and runs every route in
+``int``.  ``det_schur_expansion`` itself evaluates each term on the forms
+as given, and so does ``det_power``; both call ``check_cell``.  The gate
+returns ``MultiPoly`` forms unchanged with the factor 1, so the symbolic
+identity still checks each term's Schur values.
+
+Every verdict route of a record shares the gate's scaling and
+``linalg.det``, so a fault in either can make them all agree.  ``det_power``
+shares neither: the CLI anchors each cell by checking a record at n copies
+of one form with non-integer coefficients against it.
 
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
@@ -394,16 +403,23 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     unsplit product, which the split does not change.  ``literal_error`` is
     set only by ``LiteralCaseUndefined``; any other error propagates.
 
-    The cell is scaled once: the direct route, the closed form and the audit
-    take ``scaled_forms``' forms and factor from this one call, and each
-    returns what its public function returns on the same forms.  The
-    expansion evaluates on the split as given.
+    The cell is scaled once: the direct route, the closed form, the audit
+    and the expansion take ``scaled_forms``' forms and factor from this one
+    call, and each returns what its public function returns on the same
+    forms.  The expansion is the public ``det_schur_expansion`` on the split
+    of the scaled forms, with each term's value and the total multiplied by
+    the factor; a term has the total's degree dim(R_k) in every form, so
+    this is exact, and the terms are those of the public route on the split
+    as given, in order.
     """
     scaled, factor = scaled_forms(rp, k, sf.all_forms)
-    direct = _det_direct_scaled(rp, k, scaled, factor)
-    expansion = det_schur_expansion(rp, k, sf)
-    closed = _closed_form_scaled(rp, k, scaled, factor)
     evaluated = SplitForms.split(scaled, sf.u)
+    direct = _det_direct_scaled(rp, k, scaled, factor)
+    scaled_expansion = det_schur_expansion(rp, k, evaluated)
+    terms = tuple(ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
+                  for t in scaled_expansion.terms)
+    expansion = Expansion(scaled_expansion.value * factor, terms)
+    closed = _closed_form_scaled(rp, k, scaled, factor)
     try:
         literal, literal_error = tuple(_literal_cases_scaled(rp, k, evaluated, factor)), None
     except LiteralCaseUndefined as exc:

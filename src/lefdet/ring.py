@@ -19,7 +19,8 @@ the degree fact behind that factor).  Each public integer route is that gate
 plus a private evaluator of its forms and factor: ``det_direct`` here, whose
 evaluator builds and reduces its matrix in ``int``, and the closed form and
 the literal audit in ``formulas``.  ``formulas.discrepancy_report`` calls
-the gate once per trial and hands its result to all three evaluators.
+the gate once per trial and hands its result to all three evaluators and to
+the expansion.
 """
 
 from __future__ import annotations

@@ -473,6 +473,7 @@ def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_
     lines = captured.err.splitlines()
     assert len(lines) == 1
     where = f"({cell['d']},{cell['q']},{cell['k']},{cell['u']},{row['trial']})"
+    # the anchors fail too, but a mismatching trial is the one line
     assert f"first mismatch at (d,q,k,u,trial) = {where}" in lines[0]
     command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
     assert command[:2] == ["lefdet", "report"]
@@ -506,6 +507,51 @@ def test_sweep_names_the_same_first_mismatch_and_only_on_exit_1(capsys, request)
     assert verify_err.startswith("lefdet: first mismatch at")
     assert main(["sweep", *args, "--output", "csv"]) == 1
     assert capsys.readouterr().err == verify_err
+
+
+def assert_only_the_anchor_fails(capsys):
+    """``verify --dmax 4`` exits 1 on a fault that every trial's routes share,
+    and the one stderr line names a command that exits 1 on it again."""
+    code = main(["verify", "--dmax", "4"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    # every trial agrees with itself: the mismatch count still counts trials
+    assert doc["summary"]["mismatches"] == 0
+    assert all(row["match"] for cell in doc["cells"] for row in cell["trials"])
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lefdet: anchor failed at (d,q,k,u) = ")
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
+    assert command[:2] == ["lefdet", "verify"]
+    assert command[2:-2:2] == ["--d", "--q", "--k", "--u"] and command[-2:] == ["--trials", "1"]
+    assert main(command[1:]) == 1
+    assert capsys.readouterr().err == captured.err
+
+
+def test_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, monkeypatch):
+    import lefdet.formulas as formulas
+    from lefdet.ring import scaled_forms
+
+    def inverted(rp, k, forms):
+        scaled, factor = scaled_forms(rp, k, forms)
+        return scaled, 1 / factor
+
+    monkeypatch.setattr(formulas, "scaled_forms", inverted)
+    assert_only_the_anchor_fails(capsys)
+
+
+def test_anchor_catches_a_determinant_kernel_that_returns_0(capsys, monkeypatch):
+    import lefdet.linalg as linalg
+
+    exact = linalg.det_bareiss
+    monkeypatch.setattr(linalg, "det_bareiss", lambda m: Fraction(0) if m.rows >= 2 else exact(m))
+    assert_only_the_anchor_fails(capsys)
+
+
+def test_every_lattice_cell_is_anchored():
+    from lefdet.cli import eval_cell, lattice_cells
+
+    assert all(eval_cell(0, cell, 1, False)[1] for cell in lattice_cells(7))
 
 
 def test_arithmetic_fault_is_an_error_document_not_a_mismatch(capsys, monkeypatch):

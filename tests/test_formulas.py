@@ -660,8 +660,9 @@ def test_one_report_scales_its_cell_once(monkeypatch):
 
 
 def test_report_routes_equal_the_public_routes_on_every_lattice_cell():
-    # each record's direct, closed and literal values are what det_direct,
-    # det_closed_form and det_literal_cases return on the same forms
+    # each record's direct, expansion, closed and literal values are what
+    # det_direct, det_schur_expansion, det_closed_form and det_literal_cases
+    # return on the same forms, term by term in order for the expansion
     from lefdet.cli import lattice_cells, random_form
 
     def public_literal(rp, k, sf):
@@ -682,6 +683,9 @@ def test_report_routes_equal_the_public_routes_on_every_lattice_cell():
             sf = SplitForms.split(forms, u)
             record = discrepancy_report(rp, k, sf)
             assert record.direct == det_direct(rp, k, forms), (d, q, k, u)
+            public = det_schur_expansion(rp, k, sf)
+            assert record.expansion.value == public.value, (d, q, k, u)
+            assert list(record.expansion.terms) == list(public.terms), (d, q, k, u)
             assert record.closed == det_closed_form(rp, k, forms), (d, q, k, u)
             assert (record.literal, record.literal_error) == public_literal(rp, k, sf)
             records += 1

@@ -124,6 +124,38 @@ MUTANTS = [
         "x.numerator",
         "primitive_part drops the denominator scaling: (1/2, 1/3) reads as (1, 1) / 6",
     ),
+    (
+        "lefdet/formulas.py",
+        "Expansion(scaled_expansion.value * factor, terms)",
+        "Expansion(scaled_expansion.value, terms)",
+        "the record's expansion total drops the scale factor",
+    ),
+    # zero-kernel rows: each makes every determinant of size 2 or more 0, so
+    # every route of every trial agrees and only the anchor sees the fault
+    (
+        "lefdet/linalg.py",
+        "if g == 0:",
+        "if g != 0:",
+        "Bareiss returns 0 on any nonzero row",
+    ),
+    (
+        "lefdet/linalg.py",
+        "for col in range(n - 1):",
+        "for col in range(n + 1):",
+        "Bareiss runs past the last column, which finds no pivot: 0",
+    ),
+    (
+        "lefdet/linalg.py",
+        "content * a[n - 1][n - 1], scale)",
+        "content * a[n - 1][n - 2], scale)",
+        "Bareiss returns an entry its elimination has zeroed",
+    ),
+    (
+        "lefdet/linalg.py",
+        "self.entries[r * self.cols : (r + 1) * self.cols]",
+        "self.entries[r // self.cols : (r + 1) * self.cols]",
+        "ExactMatrix.row starts each row at entry r // cols",
+    ),
 ]
 
 
