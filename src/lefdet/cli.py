@@ -17,15 +17,17 @@ order in one thread, each by a pure function keyed on (seed, cell
 coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
-``verify`` and ``sweep`` also anchor every cell: the record at d+q-2k copies
-of ``ANCHOR_FORM`` = 2/3 x - 5/7 y must agree, and its direct determinant
-must equal ``det_power``, the hook-content product, which takes no
-determinant, builds no E-table and never calls ``scaled_forms``.  Every route
-of a record reduces through the same ``linalg.det`` and the same scaled
-cell, so a determinant kernel that returns 0, or a scaling fault, makes all
-of them agree on every trial; the anchor still sees it.  The form's scale
-factor is not 1, which ``x + y``'s would be.  An anchor adds nothing to
-stdout.
+``verify``, ``sweep`` and ``report`` also anchor every cell they give a
+verdict on, with ``formulas.anchor_holds``: at d+q-2k copies of
+``ANCHOR_FORM`` = 2/3 x - 5/7 y, the direct route, the expansion and the
+closed form must each equal ``det_power``, the hook-content product, which
+takes no determinant, builds no E-table and never calls ``scaled_forms``.
+Every route of a record reduces through the same ``linalg.det`` and the same
+scaled cell, so a determinant kernel that returns 0, or a scaling fault,
+makes all of them agree on every trial; the anchor still sees it.  The
+form's scale factor is not 1, which ``x + y``'s would be.  An anchor adds
+nothing to stdout.  ``det`` is not anchored yet: at ``--method expansion``
+the anchor would repeat a large cell's expansion.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
 determinant and the expansion or closed form, at any split, or a failed
@@ -39,7 +41,7 @@ exits 1 on the same disagreement.  When no trial mismatches but an anchor
 fails, ``summary.mismatches`` stays 0 (it counts trials) and the one line
 names the first failing cell and the ``lefdet verify --d D --q Q --k K --u U
 --trials 1`` command that runs that cell's anchor again, which exits 1 on the
-same fault.
+same fault.  ``report`` writes the same line when its cell's anchor fails.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -55,11 +57,12 @@ from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 
 from .formulas import (
+    ANCHOR_FORM,
     SplitForms,
+    anchor_holds,
     complement_identity_check,
     det_closed_form,
     det_schur_expansion,
-    det_power,
     discrepancy_report,
     duality_check,
     slp_check,
@@ -82,9 +85,6 @@ EXIT_USAGE = 2
 SWEEP_COLUMNS = (
     "d", "q", "k", "u", "seed", "trial", "det_direct", "det_expansion", "det_closed", "match",
 )
-
-# every cell's anchor: two non-integer coefficients, so the scale factor is not 1
-ANCHOR_FORM = LinearForm(Fraction(2, 3), Fraction(-5, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +240,7 @@ def lattice_cells(smax: int) -> list[tuple[int, int, int, int]]:
 def eval_cell(
     seed: int, cell: tuple[int, int, int, int], trials: int, allow_zero: bool
 ) -> tuple[dict, bool]:
-    """The cell's document, one row per trial, and whether its anchor holds.
-
-    The anchor is the record at n copies of ``ANCHOR_FORM``: it must agree,
-    and its direct value must equal ``det_power`` at that form.
-    """
+    """The cell's document, one row per trial, and whether its anchor holds."""
     d, q, k, u = cell
     rp = RingParams(d, q)
     n = d + q - 2 * k
@@ -266,9 +262,7 @@ def eval_cell(
                 else [audit_doc(c, record.direct) for c in record.literal],
             }
         )
-    anchor = discrepancy_report(rp, k, SplitForms.split([ANCHOR_FORM] * n, u))
-    anchored = anchor.agrees and anchor.direct == det_power(rp, k, ANCHOR_FORM)
-    return {"d": d, "q": q, "k": k, "u": u, "trials": rows}, anchored
+    return {"d": d, "q": q, "k": k, "u": u, "trials": rows}, anchor_holds(rp, k, u)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +328,16 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     return cells
 
 
+def write_failed_anchor(d: int, q: int, k: int, u: int) -> None:
+    """The one stderr line for a failed anchor, naming the command that reruns it."""
+    sys.stderr.write(
+        f"lefdet: anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the routes at "
+        f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} do not all "
+        f"give det_power; reproduce with: lefdet verify --d {d} --q {q} --k {k} --u {u} "
+        f"--trials 1\n"
+    )
+
+
 def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
     """Evaluate the cells that ``verify`` or ``sweep`` selects.
 
@@ -364,13 +368,7 @@ def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
             mismatches += 1
     unanchored = [doc for doc, anchored in evaluated if not anchored]
     if unanchored and not mismatches:
-        d, q, k, u = (unanchored[0][key] for key in "dqku")
-        sys.stderr.write(
-            f"lefdet: anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the record at "
-            f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} does not "
-            f"give det_power; reproduce with: lefdet verify --d {d} --q {q} --k {k} --u {u} "
-            f"--trials 1\n"
-        )
+        write_failed_anchor(*(unanchored[0][key] for key in "dqku"))
     inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
     return inputs, results, mismatches, not (mismatches or unanchored)
 
@@ -517,7 +515,10 @@ def cmd_report(args) -> tuple[dict, bool]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    return body, record.agrees
+    anchored = anchor_holds(rp, args.k, sf.u)
+    if not anchored:
+        write_failed_anchor(args.d, args.q, args.k, sf.u)
+    return body, record.agrees and anchored
 
 
 # ---------------------------------------------------------------------------

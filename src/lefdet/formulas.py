@@ -34,8 +34,10 @@ identity still checks each term's Schur values.
 
 Every verdict route of a record shares the gate's scaling and
 ``linalg.det``, so a fault in either can make them all agree.  ``det_power``
-shares neither: the CLI anchors each cell by checking a record at n copies
-of one form with non-integer coefficients against it.
+shares neither: ``anchor_holds`` checks the direct route, the expansion and
+the closed form of a cell at n copies of ``ANCHOR_FORM``, a form with
+non-integer coefficients, against it, and the CLI runs it for every cell it
+gives a verdict on.
 
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
@@ -225,6 +227,32 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
     tableaux = _rectangle_tableaux(n, min(width, n - width), height)
     value = form.a ** (width * height) * form.b ** ((n - width) * height) * tableaux
     return value if isinstance(value, MultiPoly) else Fraction(value)
+
+
+# the anchor's form: two non-integer coefficients, so its scale factor is not 1
+ANCHOR_FORM = LinearForm(Fraction(2, 3), Fraction(-5, 7))
+
+
+def anchor_holds(rp: RingParams, k: int, u: int) -> bool:
+    """Whether every verdict route gives ``det_power`` at n copies of ``ANCHOR_FORM``.
+
+    n = d+q-2k.  One ``scaled_forms`` call scales the copies; the direct
+    route, the expansion at split point ``u`` (the public
+    ``det_schur_expansion`` on the split of the scaled copies, times the
+    factor) and the closed form must each equal ``det_power``, which takes
+    no determinant, builds no E-table and never calls ``scaled_forms``.  So
+    a fault that every route shares, such as a determinant kernel that
+    returns 0 or a wrong scale factor, fails the anchor even where the routes
+    still agree with each other.  The literal audit gives no verdict and is
+    not evaluated.
+    """
+    expected = det_power(rp, k, ANCHOR_FORM)
+    scaled, factor = scaled_forms(rp, k, (ANCHOR_FORM,) * (rp.socle - 2 * k))
+    return (
+        _det_direct_scaled(rp, k, scaled, factor) == expected
+        and det_schur_expansion(rp, k, SplitForms.split(scaled, u)).value * factor == expected
+        and _closed_form_scaled(rp, k, scaled, factor) == expected
+    )
 
 
 class SlpEntry(Record):

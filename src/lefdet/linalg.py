@@ -7,7 +7,10 @@ swap sign shows on ordinary inputs; every intermediate division is checked
 exact) and memoized Laplace expansion (any exact coefficient ring, and the
 small-size cross-check for Bareiss).  ``det`` picks Laplace when some
 entry is a ``MultiPoly`` and Bareiss otherwise; each route checks its own
-entries with the ``mpoly`` exactness rule.
+entries with the ``mpoly`` exactness rule, in one pass over the whole
+matrix before any arithmetic.  ``det_mod`` is a third route, for ``int``
+matrices modulo a prime: it shares no code with the other two, and its
+values stay below the modulus, so it can check large integer determinants.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from math import gcd, lcm
 
 from ._record import Record, set_field
 from .mpoly import MultiPoly, require_exact, require_int, require_rational
+
+# the entry types Bareiss reduces; ``type`` tests, so ``bool`` is not one of them
+_RATIONAL = frozenset((int, Fraction))
 
 
 class ExactMatrix(Record):
@@ -95,7 +101,10 @@ def primitive_part(values) -> tuple[list[int], int, int]:
     rationals to integers: each Bareiss row and each ``ring.scaled_forms`` pair.
     """
     den = lcm(*(x.denominator for x in values))
-    ints = [x.numerator * (den // x.denominator) for x in values]
+    if den == 1:
+        ints = [x.numerator for x in values]
+    else:
+        ints = [x.numerator * (den // x.denominator) for x in values]
     g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
@@ -114,10 +123,13 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     the interior divisions are exact under any nonzero pivot, and this one
     swaps rows on the small blocks ``verify`` builds, where a first-nonzero
     pivot would not, so a lost swap sign changes a verdict there.  Any
-    other entry type, ``bool`` included, is a ``ValueError``.
+    other entry type, ``bool`` included, is a ``ValueError``, wherever it
+    sits: every entry is checked before the first row is reduced.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
+    if not _RATIONAL.issuperset(map(type, m.entries)):
+        require_rational("matrix entry", *m.entries)
     n = m.rows
     if n == 0:
         return Fraction(1)
@@ -125,9 +137,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     content = 1
     a: list[list[int]] = []
     for r in range(n):
-        row = m.row(r)
-        require_rational("matrix entry", *row)
-        ints, g, den = primitive_part(row)
+        ints, g, den = primitive_part(m.row(r))
         if g == 0:
             return Fraction(0)
         scale *= den
@@ -204,11 +214,54 @@ def det_laplace(m: ExactMatrix):
 def det(m: ExactMatrix):
     """Exact determinant; Laplace over ``MultiPoly``, Bareiss otherwise.
 
-    Only dispatches: the chosen route rejects an inexact entry (a ``float``
-    or a ``bool``) with a ``ValueError``.
+    Only dispatches, on the set of entry types: the chosen route rejects an
+    inexact entry (a ``float`` or a ``bool``) anywhere in the matrix with a
+    ``ValueError``.
     """
-    route = det_laplace if any(isinstance(e, MultiPoly) for e in m.entries) else det_bareiss
+    route = det_laplace if MultiPoly in set(map(type, m.entries)) else det_bareiss
     return route(m)
+
+
+def det_mod(m: ExactMatrix, p: int) -> int:
+    """The determinant of an ``int`` matrix modulo ``p``, in ``0..p-1``.
+
+    Gaussian elimination over the integers mod ``p``: no ``Fraction``, no
+    growth, and no code shared with Bareiss or Laplace.  ``p`` should be a
+    prime; every pivot is inverted mod ``p``, so for a composite ``p`` a
+    pivot that is not a unit raises ``ValueError``, and any value returned
+    is still the determinant mod ``p``.
+
+    A match against another route is a certificate modulo ``p``, not a
+    proof: two integers agree mod ``p`` exactly when ``p`` divides their
+    difference, so a wrong value survives only when ``p`` divides its error.
+    """
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    require_int("modulus", p)
+    if p < 2:
+        raise ValueError(f"modulus {p} must be at least 2")
+    require_int("matrix entry", *m.entries)
+    n = m.rows
+    a = [[e % p for e in m.row(r)] for r in range(n)]
+    value = 1
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            value = -value
+        pivot = a[col][col]
+        value = value * pivot % p
+        inverse = pow(pivot, -1, p)
+        # columns up to col are never read again, so only the rest is reduced
+        top = a[col][col + 1 :]
+        for r in range(col + 1, n):
+            row = a[r]
+            factor = row[col] * inverse % p
+            if factor:
+                row[col + 1 :] = [(x - factor * y) % p for x, y in zip(row[col + 1 :], top)]
+    return value % p
 
 
 def _check_index_set(indices, bound: int, what: str) -> tuple[int, ...]:

@@ -65,10 +65,17 @@ def e_matrix(table, index_rows) -> ExactMatrix:
     """Row i holds table[m] for each m in index_rows[i], 0 where m is off the table.
 
     The one reader of an E-table: Jacobi-Trudi matrices and the literal
-    audit's Toeplitz blocks are such row selections.
+    audit's Toeplitz blocks are such row selections.  Each index row is a
+    sized iterable (a ``range`` in every caller); rows of unequal length
+    raise ``ValueError``.
     """
     n = len(table)
-    return ExactMatrix.from_rows([table[m] if 0 <= m < n else 0 for m in row] for row in index_rows)
+    index_rows = list(index_rows)
+    cols = len(index_rows[0]) if index_rows else 0
+    if any(len(row) != cols for row in index_rows):
+        raise ValueError("ragged rows")
+    entries = [table[m] if 0 <= m < n else 0 for row in index_rows for m in row]
+    return ExactMatrix(len(index_rows), cols, entries)
 
 
 def _unit_pair(values) -> HomogPair:

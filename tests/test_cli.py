@@ -548,6 +548,63 @@ def test_anchor_catches_a_determinant_kernel_that_returns_0(capsys, monkeypatch)
     assert_only_the_anchor_fails(capsys)
 
 
+REPORT_ARGV = ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1", "--forms", "2,1;1,3"]
+
+
+def assert_report_anchor_fails(capsys):
+    """``report`` exits 1 on a fault that its record's routes share, with
+    verify's one anchor line, whose command exits 1 on it again."""
+    code = main(REPORT_ARGV)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1
+    assert doc["matches"] == {"expansion": True, "closed_form": True}
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lefdet: anchor failed at (d,q,k,u) = (2,2,1,1)")
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
+    assert main(command[1:]) == 1
+    assert capsys.readouterr().err == captured.err
+
+
+def test_report_anchor_catches_a_determinant_kernel_that_returns_0(capsys, monkeypatch):
+    import lefdet.linalg as linalg
+
+    exact = linalg.det_bareiss
+    monkeypatch.setattr(linalg, "det_bareiss", lambda m: Fraction(0) if m.rows >= 2 else exact(m))
+    assert_report_anchor_fails(capsys)
+
+
+def test_report_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, monkeypatch):
+    import lefdet.formulas as formulas
+    from lefdet.ring import scaled_forms
+
+    def inverted(rp, k, forms):
+        scaled, factor = scaled_forms(rp, k, forms)
+        return scaled, 1 / factor
+
+    monkeypatch.setattr(formulas, "scaled_forms", inverted)
+    assert_report_anchor_fails(capsys)
+
+
+def test_report_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
+    assert main(REPORT_ARGV) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_the_anchor_builds_no_literal_audit(capsys, monkeypatch):
+    # one audit per trial: 160 cells x 5 trials, and none for the 160 anchors
+    import lefdet.formulas as formulas
+
+    calls = []
+    audit = formulas._literal_cases_scaled
+    monkeypatch.setattr(
+        formulas, "_literal_cases_scaled", lambda *a: calls.append(a) or audit(*a)
+    )
+    assert main(["verify", "--dmax", "7", "--trials", "5", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 800
+
+
 def test_every_lattice_cell_is_anchored():
     from lefdet.cli import eval_cell, lattice_cells
 

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lefdet.formulas import (
+    ANCHOR_FORM,
     LiteralCaseUndefined,
     SplitForms,
     _rectangle_sides,
     _rectangle_tableaux,
+    anchor_holds,
     complement_identity_check,
     det_closed_form,
     det_literal_cases,
@@ -23,7 +25,8 @@ from lefdet.formulas import (
 )
 from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle, rectangle
-from lefdet.ring import LinearForm, RingParams, det_direct, dim, scaled_forms
+from lefdet.linalg import det_mod
+from lefdet.ring import LinearForm, RingParams, det_direct, dim, mult_matrix_block, scaled_forms
 from lefdet.symfunc import schur, schur_homog, schur_jacobi_trudi
 
 
@@ -281,6 +284,18 @@ def test_power_equals_direct_as_a_polynomial_identity():
                 assert det_power(rp, k, form) == direct, (s - q, q, k)
                 cells += 1
     assert cells == 770
+
+
+def test_power_equals_the_block_modulo_a_prime_on_every_k_of_40_30():
+    # Gaussian elimination mod p on the primitive integer block shares no
+    # code with the hook-content product; a match is a certificate mod p
+    p = 2**61 - 1
+    rp, form = RingParams(40, 30), LinearForm(Fraction(7, 2), Fraction(-5, 3))
+    for k in range(rp.socle // 2 + 1):
+        scaled, factor = scaled_forms(rp, k, [form] * (rp.socle - 2 * k))
+        integer = det_power(rp, k, form) / factor
+        assert integer.denominator == 1
+        assert det_mod(mult_matrix_block(rp, scaled, k), p) == integer.numerator % p, k
 
 
 @st.composite
@@ -657,6 +672,39 @@ def test_one_report_scales_its_cell_once(monkeypatch):
     record = discrepancy_report(rp, 1, sf)
     assert record.agrees and record.literal
     assert len(calls) == 1
+
+
+def test_anchor_holds_on_every_split_of_every_cell_and_builds_no_audit(monkeypatch):
+    import lefdet.formulas as formulas
+
+    # a scale factor of 1 would hide a scaling fault
+    assert scaled_forms(RingParams(1, 1), 0, [ANCHOR_FORM] * 2)[1] != 1
+    monkeypatch.setattr(formulas, "_literal_cases_scaled", lambda *a: pytest.fail("audit built"))
+    for d, q in [(1, 1), (2, 1), (3, 2), (4, 4), (5, 2)]:
+        rp = RingParams(d, q)
+        for k in range(rp.socle // 2 + 1):
+            for u in range(rp.socle - 2 * k + 1):
+                assert anchor_holds(rp, k, u), (d, q, k, u)
+
+
+@pytest.mark.parametrize("route", ["_det_direct_scaled", "_closed_form_scaled"])
+def test_anchor_fails_when_one_route_misses_det_power(monkeypatch, route):
+    import lefdet.formulas as formulas
+
+    exact = getattr(formulas, route)
+    monkeypatch.setattr(formulas, route, lambda *a: exact(*a) * 2)
+    assert not anchor_holds(RingParams(3, 2), 1, 1)
+
+
+def test_anchor_fails_when_the_expansion_misses_det_power(monkeypatch):
+    import lefdet.formulas as formulas
+
+    exact = formulas.det_schur_expansion
+    monkeypatch.setattr(
+        formulas, "det_schur_expansion",
+        lambda rp, k, sf: formulas.Expansion(0, exact(rp, k, sf).terms),
+    )
+    assert not anchor_holds(RingParams(3, 2), 1, 1)
 
 
 def test_report_routes_equal_the_public_routes_on_every_lattice_cell():

@@ -16,6 +16,7 @@ from lefdet.linalg import (
     det,
     det_bareiss,
     det_laplace,
+    det_mod,
     minor_det,
     primitive_part,
 )
@@ -171,6 +172,31 @@ def test_det_rejects_inexact_entries():
     for entries in ([0.5], [x]):
         with pytest.raises(ValueError, match="int or Fraction"):
             det_bareiss(ExactMatrix(1, 1, entries))
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+@pytest.mark.parametrize("route", [det, det_bareiss])
+def test_an_inexact_entry_after_a_zero_row_is_rejected(route, bad):
+    # the zero row would give 0 at once; every entry is checked before that
+    m = ExactMatrix.from_rows([[0, 0], [bad, 1]])
+    with pytest.raises(ValueError, match="not exact"):
+        route(m)
+
+
+def test_det_sends_a_multipoly_in_any_position_to_laplace(monkeypatch):
+    import lefdet.linalg as linalg
+
+    x, _ = MultiPoly.variables(2)
+    calls = []
+    laplace = linalg.det_laplace
+    monkeypatch.setattr(linalg, "det_laplace", lambda m: calls.append(m) or laplace(m))
+    monkeypatch.setattr(linalg, "det_bareiss", lambda m: pytest.fail("Bareiss got a MultiPoly"))
+    for position in range(9):
+        entries = [Fraction(i + 1, 2) if i % 2 else i + 1 for i in range(9)]
+        entries[position] = x
+        m = ExactMatrix(3, 3, entries)
+        assert det(m) == det_by_permutations(m)
+    assert len(calls) == 9
 
 
 def test_inexact_entries_are_rejected_even_under_optimize():
@@ -394,3 +420,48 @@ def test_bareiss_inexact_division_raises_even_under_optimize():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.startswith("ArithmeticError: Bareiss interior division must be exact")
+
+
+# --- determinants modulo a prime --------------------------------------------
+
+P61 = 2**61 - 1
+
+
+def test_det_mod_equals_bareiss_mod_p_on_random_integer_matrices():
+    rng = random.Random(5)
+    for p in (2, 3, 7, 101, P61):
+        for _ in range(40):
+            n = rng.randint(0, 6)
+            m = ExactMatrix(n, n, [rng.randint(-50, 50) for _ in range(n * n)])
+            value = det_bareiss(m)
+            assert value.denominator == 1
+            assert det_mod(m, p) == value.numerator % p, (p, m)
+
+
+def test_det_mod_finds_singular_matrices_and_tracks_swaps():
+    assert det_mod(ExactMatrix.from_rows([[0, 1], [1, 0]]), 7) == 6
+    assert det_mod(ExactMatrix.from_rows([[3, 5], [6, 10]]), 101) == 0
+    # singular mod p only: det = 7
+    assert det_mod(ExactMatrix.from_rows([[3, 1], [1, 5]]), 7) == 0
+    assert det_mod(ExactMatrix(0, 0, []), 5) == 1
+
+
+@pytest.mark.parametrize(
+    "m, p, message",
+    [
+        (ExactMatrix(1, 1, [Fraction(1, 2)]), 7, "not an int"),
+        (ExactMatrix(1, 1, [True]), 7, "not an int"),
+        (ExactMatrix(1, 1, [1]), 1, "at least 2"),
+        (ExactMatrix(1, 1, [1]), 7.0, "not an int"),
+        (ExactMatrix(1, 2, [1, 2]), 7, "non-square"),
+    ],
+)
+def test_det_mod_rejects_bad_input(m, p, message):
+    with pytest.raises(ValueError, match=message):
+        det_mod(m, p)
+
+
+def test_det_mod_refuses_a_pivot_that_is_not_a_unit():
+    # mod 6 the pivot 2 has no inverse; a value is never silently wrong
+    with pytest.raises(ValueError):
+        det_mod(ExactMatrix.from_rows([[2, 1], [1, 1]]), 6)

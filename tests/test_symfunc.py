@@ -182,6 +182,29 @@ def test_e_matrix_of_no_rows_is_the_empty_matrix():
         e_matrix([1, 2, 3], [range(2), range(3)])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [range(3), range(2)],
+        [range(2), range(2), range(1, 4)],
+        [[0, 1], [2]],
+        [range(0), range(1)],
+    ],
+)
+def test_e_matrix_rejects_ragged_rows_wherever_they_differ(rows):
+    with pytest.raises(ValueError, match="ragged"):
+        e_matrix([1, 2, 3], rows)
+
+
+def test_e_matrix_takes_any_sized_rows_and_keeps_their_order():
+    table = [Fraction(1, 3), 4, 9]
+    m = e_matrix(table, ([2, -1, 0], (5, 1, 2)))
+    assert (m.rows, m.cols) == (2, 3)
+    assert m.entries == (9, 0, Fraction(1, 3), 0, 4, 9)
+    empty_rows = e_matrix(table, [range(0), range(0)])
+    assert (empty_rows.rows, empty_rows.cols, empty_rows.entries) == (2, 0, ())
+
+
 def test_empty_variable_list_conventions():
     empty = ()
     assert schur_jacobi_trudi(Partition(), empty) == 1
