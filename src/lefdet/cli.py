@@ -158,13 +158,13 @@ def decimal_digits(n: int) -> str:
 
 
 def fmt(value) -> str:
-    """``p`` or ``p/q`` in lowest terms, of any size.
+    """``p`` or ``p/q`` in lowest terms, of any size, for an ``int`` or ``Fraction``.
 
-    ``decimal_digits`` converts the numerator and denominator, so Python's
-    int-to-str digit limit stays in force throughout; it bounds the quadratic
-    str -> int that parsing argv runs.
+    Both types carry ``numerator`` and ``denominator`` (an ``int``'s is 1),
+    so neither is rebuilt.  ``decimal_digits`` converts the numerator and
+    denominator, so Python's int-to-str digit limit stays in force
+    throughout; it bounds the quadratic str -> int that parsing argv runs.
     """
-    value = Fraction(value)
     if value.denominator == 1:
         return decimal_digits(value.numerator)
     return f"{decimal_digits(value.numerator)}/{decimal_digits(value.denominator)}"

@@ -8,9 +8,14 @@ exact) and memoized Laplace expansion (any exact coefficient ring, and the
 small-size cross-check for Bareiss).  ``det`` picks Laplace when some
 entry is a ``MultiPoly`` and Bareiss otherwise; each route checks its own
 entries with the ``mpoly`` exactness rule, in one pass over the whole
-matrix before any arithmetic.  ``det_mod`` is a third route, for ``int``
-matrices modulo a prime: it shares no code with the other two, and its
-values stay below the modulus, so it can check large integer determinants.
+matrix before any arithmetic.  Integer matrices give integer
+determinants: when every entry is an ``int`` (the empty matrix included)
+both routes return an ``int``, and Bareiss returns a ``Fraction`` when one
+entry is a ``Fraction``.  The rule reads entry types, never values: an
+integral ``Fraction`` entry still gives a ``Fraction``.
+``det_mod`` is a third route, for ``int`` matrices modulo a prime: it
+shares no code with the other two, and its values stay below the modulus,
+so it can check large integer determinants.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ def primitive_part(values) -> tuple[list[int], int, int]:
     return ints, g, den
 
 
-def det_bareiss(m: ExactMatrix) -> Fraction:
+def det_bareiss(m: ExactMatrix) -> int | Fraction:
     """Fraction-free determinant for rational (``int`` or ``Fraction``) entries.
 
     Each row is taken to its ``primitive_part`` (scaled by the lcm of its
@@ -125,21 +130,31 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     pivot would not, so a lost swap sign changes a verdict there.  Any
     other entry type, ``bool`` included, is a ``ValueError``, wherever it
     sits: every entry is checked before the first row is reduced.
+
+    The result is an ``int`` when every entry is an ``int`` (1 for the
+    empty matrix) and a ``Fraction`` when some entry is a ``Fraction``,
+    whatever the values: ``Fraction(4)`` alone gives ``Fraction(4)``.
     """
+    return _det_bareiss(m, set(map(type, m.entries)))
+
+
+def _det_bareiss(m: ExactMatrix, types) -> int | Fraction:
+    """``det_bareiss`` given the set of ``m``'s entry types, which ``det`` has built."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if not _RATIONAL.issuperset(map(type, m.entries)):
+    if not _RATIONAL.issuperset(types):
         require_rational("matrix entry", *m.entries)
+    rational = Fraction in types
     n = m.rows
     if n == 0:
-        return Fraction(1)
+        return 1
     scale = 1
     content = 1
     a: list[list[int]] = []
     for r in range(n):
         ints, g, den = primitive_part(m.row(r))
         if g == 0:
-            return Fraction(0)
+            return Fraction(0) if rational else 0
         scale *= den
         content *= g
         a.append(ints)
@@ -148,7 +163,7 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
     for col in range(n - 1):
         nonzero = [r for r in range(col, n) if a[r][col] != 0]
         if not nonzero:
-            return Fraction(0)
+            return Fraction(0) if rational else 0
         pivot_row = min(nonzero, key=lambda r: abs(a[r][col]))
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
@@ -165,7 +180,9 @@ def det_bareiss(m: ExactMatrix) -> Fraction:
                 cur[c] = quot
             cur[col] = 0
         prev = pivot
-    return Fraction(sign * content * a[n - 1][n - 1], scale)
+    value = sign * content * a[n - 1][n - 1]
+    # an int matrix has every denominator 1, so its scale is 1
+    return Fraction(value, scale) if rational else value
 
 
 def det_laplace(m: ExactMatrix):
@@ -214,12 +231,14 @@ def det_laplace(m: ExactMatrix):
 def det(m: ExactMatrix):
     """Exact determinant; Laplace over ``MultiPoly``, Bareiss otherwise.
 
-    Only dispatches, on the set of entry types: the chosen route rejects an
-    inexact entry (a ``float`` or a ``bool``) anywhere in the matrix with a
-    ``ValueError``.
+    Only dispatches, on the set of entry types, which it builds once and
+    hands to Bareiss: the chosen route rejects an inexact entry (a
+    ``float`` or a ``bool``) anywhere in the matrix with a ``ValueError``.
     """
-    route = det_laplace if MultiPoly in set(map(type, m.entries)) else det_bareiss
-    return route(m)
+    types = set(map(type, m.entries))
+    if MultiPoly in types:
+        return det_laplace(m)
+    return _det_bareiss(m, types)
 
 
 def det_mod(m: ExactMatrix, p: int) -> int:

@@ -125,7 +125,11 @@ def schur_homog(lam: Partition, pair: HomogPair, rows: int | None = None):
 
 
 def schur_bialternant(lam: Partition, values) -> Fraction:
-    """Ratio of alternants; needs pairwise distinct values and enough of them."""
+    """Ratio of alternants; needs pairwise distinct values and enough of them.
+
+    A ``Fraction`` whatever the value types: two ``int`` alternants divide
+    exactly, not into a ``float``.
+    """
     values = tuple(values)
     require_rational("value", *values)
     n = len(values)
@@ -146,7 +150,7 @@ def schur_bialternant(lam: Partition, values) -> Fraction:
     den = det(
         ExactMatrix(n, n, [values[j] ** (n - 1 - i) for i in range(n) for j in range(n)])
     )
-    return num / den
+    return Fraction(num, den)
 
 
 def schur_tableaux(lam: Partition, values):

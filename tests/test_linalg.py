@@ -190,7 +190,9 @@ def test_det_sends_a_multipoly_in_any_position_to_laplace(monkeypatch):
     calls = []
     laplace = linalg.det_laplace
     monkeypatch.setattr(linalg, "det_laplace", lambda m: calls.append(m) or laplace(m))
-    monkeypatch.setattr(linalg, "det_bareiss", lambda m: pytest.fail("Bareiss got a MultiPoly"))
+    monkeypatch.setattr(
+        linalg, "_det_bareiss", lambda m, types: pytest.fail("Bareiss got a MultiPoly")
+    )
     for position in range(9):
         entries = [Fraction(i + 1, 2) if i % 2 else i + 1 for i in range(9)]
         entries[position] = x
@@ -332,6 +334,38 @@ def test_laplace_result_type_counts_zero_terms():
         assert type(got) is kind and got == value, rows
 
 
+# each reaches a different return of Bareiss: empty, single entry, zero row,
+# zero pivot column, a swap, and a product of pivots
+TYPED_ROWS = [
+    [],
+    [[5]],
+    [[0, 0], [1, 2]],
+    [[0, 1], [0, 2]],
+    [[0, 1], [2, 3]],
+    [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+]
+
+
+@pytest.mark.parametrize("route", [det, det_bareiss, det_laplace])
+@pytest.mark.parametrize("rows", TYPED_ROWS)
+def test_an_int_matrix_has_an_int_determinant(route, rows):
+    m = ExactMatrix.from_rows(rows)
+    value = route(m)
+    assert type(value) is int and value == det_by_permutations(m)
+
+
+@pytest.mark.parametrize("route", [det, det_bareiss])
+@pytest.mark.parametrize("rows", TYPED_ROWS[1:])
+@pytest.mark.parametrize("at", [0, -1])
+def test_one_fraction_entry_makes_a_fraction_determinant(route, rows, at):
+    # the type rule reads types, not values: Fraction(0) and Fraction(5) count
+    entries = [list(row) for row in rows]
+    entries[at][at] = Fraction(entries[at][at])
+    m = ExactMatrix.from_rows(entries)
+    value = route(m)
+    assert type(value) is Fraction and value == det_by_permutations(m)
+
+
 # --- minors ------------------------------------------------------------------
 
 
@@ -434,8 +468,8 @@ def test_det_mod_equals_bareiss_mod_p_on_random_integer_matrices():
             n = rng.randint(0, 6)
             m = ExactMatrix(n, n, [rng.randint(-50, 50) for _ in range(n * n)])
             value = det_bareiss(m)
-            assert value.denominator == 1
-            assert det_mod(m, p) == value.numerator % p, (p, m)
+            assert type(value) is int
+            assert det_mod(m, p) == value % p, (p, m)
 
 
 def test_det_mod_finds_singular_matrices_and_tracks_swaps():

@@ -21,10 +21,31 @@ def load_gate():
 def test_every_mutant_row_occurs_exactly_once_in_its_source():
     mutants = load_gate()
     assert mutants.MUTANTS
-    for file, old, new, reason in mutants.MUTANTS:
+    for file, old, new, reason, _ in mutants.MUTANTS:
         count = (ROOT / "src" / file).read_text().count(old)
         assert count == 1, f"{file} ({reason}): {old!r} occurs {count} times"
         assert new != old, f"{file} ({reason}): the edit changes nothing"
+
+
+def test_every_shared_fault_row_also_runs_report():
+    # a fault in the determinant kernel or the scale factor reaches every
+    # route of a record alike, so only the anchor sees it, and ``report``
+    # runs the anchor as ``verify`` does
+    mutants = load_gate()
+    shared = {reason for *_, reason, commands in mutants.MUTANTS if commands == mutants.SHARED}
+    assert shared == {
+        "scale factor raised to dim(R_k) - 1 instead of dim(R_k)",
+        "scale factor inverted: multiplies by the scaling instead of undoing it",
+        "primitive_part drops the denominator scaling: (1/2, 1/3) reads as (1, 1) / 6",
+        "Bareiss returns 0 on any nonzero row",
+        "Bareiss runs past the last column, which finds no pivot: 0",
+        "Bareiss returns an entry its elimination has zeroed",
+        "ExactMatrix.row starts each row at entry r // cols",
+    }
+    assert all(commands in (mutants.OWN, mutants.SHARED) for *_, commands in mutants.MUTANTS)
+    assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT)
+    assert mutants.REPORT[2:] == ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1",
+                                  "--forms", "2,1;1,3"]
 
 
 def test_gate_children_run_without_bytecode(monkeypatch):
@@ -33,5 +54,5 @@ def test_gate_children_run_without_bytecode(monkeypatch):
     mutants = load_gate()
     calls = []
     monkeypatch.setattr(mutants.subprocess, "run", lambda argv, **kw: calls.append(argv))
-    mutants.run(ROOT / "src")
+    mutants.run(ROOT / "src", mutants.VERIFY)
     assert calls and calls[0][1] == "-B", calls

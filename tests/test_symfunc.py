@@ -129,6 +129,10 @@ def test_jacobi_trudi_examples():
 def test_bialternant_examples():
     assert schur_bialternant(Partition([2, 1]), (2, 1)) == 6
     assert schur_bialternant(Partition([1]), (5, 7)) == 12
+    # int values give int alternants; their ratio is a Fraction, never a float
+    for lam, values, expected in (([2, 1], (1, 2, 3), 60), ([1], (1, 2), 3), ([], (), 1)):
+        value = schur_bialternant(Partition(lam), values)
+        assert type(value) is Fraction and value == expected
     with pytest.raises(ValueError, match="non-distinct"):
         schur_bialternant(Partition([2, 2]), (1, 1))
     with pytest.raises(ValueError, match="parts"):
@@ -151,6 +155,21 @@ def test_schur_homog_examples():
     assert schur_homog(Partition([1, 1]), HomogPair((a,), (b,))) == a * a
     assert schur_homog(Partition(), HomogPair((), ())) == 1
     assert schur_homog(Partition([1]), HomogPair((1, 3), (2, 1))) == 7
+
+
+@pytest.mark.parametrize(
+    "lam, pair, kind",
+    [
+        ([1], HomogPair((1, 3), (2, 1)), int),
+        ([2, 1], HomogPair((1, -3, 2), (2, 1, 5)), int),
+        ([], HomogPair((1,), (2,)), int),
+        ([2, 1], HomogPair((1, -3, 2), (2, Fraction(1), 5)), Fraction),
+        ([1, 1], HomogPair((Fraction(4),), (Fraction(9),)), Fraction),
+    ],
+)
+def test_schur_homog_type_follows_the_pair(lam, pair, kind):
+    # int coefficients give an int Jacobi-Trudi matrix, so an int value
+    assert type(schur_homog(Partition(lam), pair, rows=3)) is kind
 
 
 def test_schur_homog_row_padding_carries_denominator_product():
