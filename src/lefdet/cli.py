@@ -18,16 +18,21 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
 ``verify``, ``sweep`` and ``report`` also anchor every cell they give a
-verdict on, with ``formulas.anchor_holds``: at d+q-2k copies of
+verdict on, as ``formulas.anchor_holds`` does: at d+q-2k copies of
 ``ANCHOR_FORM`` = 2/3 x - 5/7 y, the direct route, the expansion and the
 closed form must each equal ``det_power``, the hook-content product, which
 takes no determinant, builds no E-table and never calls ``scaled_forms``.
 Every route of a record reduces through the same ``linalg.det`` and the same
 scaled cell, so a determinant kernel that returns 0, or a scaling fault,
 makes all of them agree on every trial; the anchor still sees it.  The
-form's scale factor is not 1, which ``x + y``'s would be.  An anchor adds
-nothing to stdout.  ``det`` is not anchored yet: at ``--method expansion``
-the anchor would repeat a large cell's expansion.
+form's scale factor is not 1, which ``x + y``'s would be.  ``verify`` and
+``sweep`` run ``formulas.degree_anchor`` once per ring degree (d, q, k):
+``det_power``, the scaling, the direct route and the closed form once, and
+the expansion once per selected split.  ``det --method closed`` checks the
+anchor's split-free half, the direct route and the closed form.  ``det
+--method expansion`` is not anchored: its anchor would repeat a large
+cell's expansion, which cost the large-cells benchmark about a fifth more
+wall time.  An anchor adds nothing to stdout.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
 determinant and the expansion or closed form, at any split, or a failed
@@ -41,7 +46,8 @@ exits 1 on the same disagreement.  When no trial mismatches but an anchor
 fails, ``summary.mismatches`` stays 0 (it counts trials) and the one line
 names the first failing cell and the ``lefdet verify --d D --q Q --k K --u U
 --trials 1`` command that runs that cell's anchor again, which exits 1 on the
-same fault.  ``report`` writes the same line when its cell's anchor fails.
+same fault.  ``report`` writes the same line when its cell's anchor fails,
+and so does ``det --method closed``, naming the split u = d+q-2k.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -55,12 +61,14 @@ import re
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
+from itertools import groupby
 
 from .formulas import (
     ANCHOR_FORM,
     SplitForms,
     anchor_holds,
     complement_identity_check,
+    degree_anchor,
     det_closed_form,
     det_schur_expansion,
     discrepancy_report,
@@ -237,10 +245,8 @@ def lattice_cells(smax: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def eval_cell(
-    seed: int, cell: tuple[int, int, int, int], trials: int, allow_zero: bool
-) -> tuple[dict, bool]:
-    """The cell's document, one row per trial, and whether its anchor holds."""
+def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zero: bool) -> dict:
+    """The cell's document, one row per trial."""
     d, q, k, u = cell
     rp = RingParams(d, q)
     n = d + q - 2 * k
@@ -262,7 +268,17 @@ def eval_cell(
                 else [audit_doc(c, record.direct) for c in record.literal],
             }
         )
-    return {"d": d, "q": q, "k": k, "u": u, "trials": rows}, anchor_holds(rp, k, u)
+    return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
+
+
+def cell_anchors(cells) -> list[bool]:
+    """Whether each cell's anchor holds: ``anchor_holds(RingParams(d, q), k, u)``
+    per cell, with ``degree_anchor`` run once for each run of consecutive
+    cells that share (d, q, k); the lattice's sort makes each degree one run."""
+    anchored = []
+    for (d, q, k), degree in groupby(cells, key=lambda cell: cell[:3]):
+        anchored += degree_anchor(RingParams(d, q), k, [u for *_, u in degree])[1]
+    return anchored
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +304,13 @@ def cmd_det(args) -> tuple[dict, bool]:
     if args.method == "direct":
         body["det"] = fmt(direct)
         return body, True
+    anchored = True
     if args.method == "closed":
         value = det_closed_form(rp, args.k, sf.all_forms)
+        # the anchor's split-free half; with no --u, sf.u is d+q-2k, the closed form's split
+        anchored = degree_anchor(rp, args.k)[0]
+        if not anchored:
+            write_failed_anchor(args.d, args.q, args.k, sf.u)
     else:
         body["inputs"]["u"] = sf.u
         expansion = det_schur_expansion(rp, args.k, sf)
@@ -297,7 +318,7 @@ def cmd_det(args) -> tuple[dict, bool]:
         body["terms"] = [term_doc(term) for term in expansion.terms]
     body["det"] = fmt(value)
     body["match_direct"] = value == direct
-    return body, value == direct
+    return body, value == direct and anchored
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
@@ -348,8 +369,7 @@ def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
     with the ``lefdet verify`` command that runs it again.
     """
     cells = _sweep_cells(args)
-    evaluated = [eval_cell(args.seed, cell, args.trials, args.allow_zero) for cell in cells]
-    results = [doc for doc, _ in evaluated]
+    results = [eval_cell(args.seed, cell, args.trials, args.allow_zero) for cell in cells]
     mismatches = 0
     for cell in results:
         for row in cell["trials"]:
@@ -366,9 +386,9 @@ def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
                     f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
                 )
             mismatches += 1
-    unanchored = [doc for doc, anchored in evaluated if not anchored]
+    unanchored = [cell for cell, anchored in zip(cells, cell_anchors(cells)) if not anchored]
     if unanchored and not mismatches:
-        write_failed_anchor(*(unanchored[0][key] for key in "dqku"))
+        write_failed_anchor(*unanchored[0])
     inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
     return inputs, results, mismatches, not (mismatches or unanchored)
 

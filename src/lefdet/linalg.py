@@ -8,11 +8,14 @@ exact) and memoized Laplace expansion (any exact coefficient ring, and the
 small-size cross-check for Bareiss).  ``det`` picks Laplace when some
 entry is a ``MultiPoly`` and Bareiss otherwise; each route checks its own
 entries with the ``mpoly`` exactness rule, in one pass over the whole
-matrix before any arithmetic.  Integer matrices give integer
-determinants: when every entry is an ``int`` (the empty matrix included)
-both routes return an ``int``, and Bareiss returns a ``Fraction`` when one
-entry is a ``Fraction``.  The rule reads entry types, never values: an
-integral ``Fraction`` entry still gives a ``Fraction``.
+matrix before any arithmetic.  A 1x1 matrix of an ``int``, ``Fraction``
+or ``MultiPoly`` entry takes neither route: ``det`` returns the entry, and
+any other 1x1 entry still reaches its route's check.  Integer matrices
+give integer determinants: when every entry is an ``int`` (the empty
+matrix included) both routes return an ``int``, and both return a
+``Fraction`` when one entry is a ``Fraction``.  The rule reads entry
+types, never values: an integral ``Fraction`` entry still gives a
+``Fraction``.
 ``det_mod`` is a third route, for ``int`` matrices modulo a prime: it
 shares no code with the other two, and its values stay below the modulus,
 so it can check large integer determinants.
@@ -27,8 +30,10 @@ from math import gcd, lcm
 from ._record import Record, set_field
 from .mpoly import MultiPoly, require_exact, require_int, require_rational
 
-# the entry types Bareiss reduces; ``type`` tests, so ``bool`` is not one of them
+# the entry types Bareiss reduces, and those Laplace expands and ``det``
+# returns as a 1x1 determinant; ``type`` tests, so ``bool`` is in neither
 _RATIONAL = frozenset((int, Fraction))
+_EXACT = frozenset((int, Fraction, MultiPoly))
 
 
 class ExactMatrix(Record):
@@ -191,16 +196,21 @@ def det_laplace(m: ExactMatrix):
     Row ``r`` expands over the columns left in ``mask``, so the mask alone
     names a minor.  A zero entry adds no term, and neither does a zero minor
     once the sum is a ``MultiPoly``; while the sum is still a scalar, a zero
-    term is added, so the result's type (``int``, ``Fraction`` or
-    ``MultiPoly``) is that of the full cofactor sum.
+    minor's term is added, so a ``MultiPoly`` entry times a zero minor still
+    makes the sum a ``MultiPoly``.  A scalar result follows Bareiss's type
+    rule: an ``int`` when every entry is an ``int`` (1 for the empty
+    matrix), a ``Fraction`` when some entry is a ``Fraction``, also where
+    the terms skipped for zero entries held every ``Fraction``.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    require_exact("matrix entry", *m.entries)
+    entries = m.entries
+    types = set(map(type, entries))
+    if not _EXACT.issuperset(types):
+        require_exact("matrix entry", *entries)
     n = m.rows
     if n == 0:
         return 1
-    entries = m.entries
     memo: dict[int, object] = {}
 
     def rec(r: int, mask: int):
@@ -225,16 +235,23 @@ def det_laplace(m: ExactMatrix):
         memo[mask] = total
         return total
 
-    return rec(0, (1 << n) - 1)
+    value = rec(0, (1 << n) - 1)
+    return Fraction(value) if type(value) is int and Fraction in types else value
 
 
 def det(m: ExactMatrix):
     """Exact determinant; Laplace over ``MultiPoly``, Bareiss otherwise.
 
-    Only dispatches, on the set of entry types, which it builds once and
-    hands to Bareiss: the chosen route rejects an inexact entry (a
-    ``float`` or a ``bool``) anywhere in the matrix with a ``ValueError``.
+    A 1x1 matrix whose entry is an ``int``, a ``Fraction`` or a
+    ``MultiPoly`` is its entry, with no set-up: the value and type Bareiss
+    returns, and Laplace too, except that Laplace gives the ``int`` 0 for a
+    zero ``MultiPoly``.  Any other matrix is only dispatched, on the set of
+    entry types, which ``det`` builds once and hands to Bareiss: the chosen
+    route rejects an inexact entry (a ``float`` or a ``bool``, a 1x1 one
+    included) anywhere in the matrix with a ``ValueError``.
     """
+    if m.rows == 1 == m.cols and type(m.entries[0]) in _EXACT:
+        return m.entries[0]
     types = set(map(type, m.entries))
     if MultiPoly in types:
         return det_laplace(m)

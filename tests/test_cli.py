@@ -528,70 +528,100 @@ def assert_only_the_anchor_fails(capsys):
     assert capsys.readouterr().err == captured.err
 
 
-def test_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, monkeypatch):
-    import lefdet.formulas as formulas
-    from lefdet.ring import scaled_forms
-
-    def inverted(rp, k, forms):
-        scaled, factor = scaled_forms(rp, k, forms)
-        return scaled, 1 / factor
-
-    monkeypatch.setattr(formulas, "scaled_forms", inverted)
-    assert_only_the_anchor_fails(capsys)
-
-
-def test_anchor_catches_a_determinant_kernel_that_returns_0(capsys, monkeypatch):
+@pytest.fixture
+def zero_kernel(monkeypatch):
+    """Make every determinant of size 2 or more 0."""
     import lefdet.linalg as linalg
 
     exact = linalg._det_bareiss
     monkeypatch.setattr(
         linalg, "_det_bareiss", lambda m, types: 0 if m.rows >= 2 else exact(m, types)
     )
+
+
+@pytest.fixture
+def inverted_scaling(monkeypatch):
+    """Make ``scaled_forms`` multiply by the scaling instead of undoing it,
+    for ``det_direct`` (in ``ring``) and every other route (in ``formulas``)."""
+    import lefdet.formulas as formulas
+    import lefdet.ring as ring
+    from lefdet.ring import scaled_forms
+
+    def inverted(rp, k, forms):
+        scaled, factor = scaled_forms(rp, k, forms)
+        return scaled, 1 / factor
+
+    monkeypatch.setattr(ring, "scaled_forms", inverted)
+    monkeypatch.setattr(formulas, "scaled_forms", inverted)
+
+
+def test_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, inverted_scaling):
     assert_only_the_anchor_fails(capsys)
+
+
+def test_anchor_catches_a_determinant_kernel_that_returns_0(capsys, zero_kernel):
+    assert_only_the_anchor_fails(capsys)
+
+
+def assert_one_anchor_line(capsys, argv, cell) -> dict:
+    """``argv`` exits 1 with verify's one anchor line for ``cell``, whose
+    command exits 1 on it again; returns the stdout document."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"lefdet: anchor failed at (d,q,k,u) = {cell}")
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
+    assert main(command[1:]) == 1
+    assert capsys.readouterr().err == captured.err
+    return json.loads(captured.out)
 
 
 REPORT_ARGV = ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1", "--forms", "2,1;1,3"]
 
 
 def assert_report_anchor_fails(capsys):
-    """``report`` exits 1 on a fault that its record's routes share, with
-    verify's one anchor line, whose command exits 1 on it again."""
-    code = main(REPORT_ARGV)
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)
-    assert code == 1
+    """``report`` exits 1 on a fault that its record's routes share."""
+    doc = assert_one_anchor_line(capsys, REPORT_ARGV, "(2,2,1,1)")
     assert doc["matches"] == {"expansion": True, "closed_form": True}
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("lefdet: anchor failed at (d,q,k,u) = (2,2,1,1)")
-    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
-    assert main(command[1:]) == 1
-    assert capsys.readouterr().err == captured.err
 
 
-def test_report_anchor_catches_a_determinant_kernel_that_returns_0(capsys, monkeypatch):
-    import lefdet.linalg as linalg
-
-    exact = linalg._det_bareiss
-    monkeypatch.setattr(
-        linalg, "_det_bareiss", lambda m, types: 0 if m.rows >= 2 else exact(m, types)
-    )
+def test_report_anchor_catches_a_determinant_kernel_that_returns_0(capsys, zero_kernel):
     assert_report_anchor_fails(capsys)
 
 
-def test_report_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, monkeypatch):
-    import lefdet.formulas as formulas
-    from lefdet.ring import scaled_forms
-
-    def inverted(rp, k, forms):
-        scaled, factor = scaled_forms(rp, k, forms)
-        return scaled, 1 / factor
-
-    monkeypatch.setattr(formulas, "scaled_forms", inverted)
+def test_report_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, inverted_scaling):
     assert_report_anchor_fails(capsys)
 
 
 def test_report_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
     assert main(REPORT_ARGV) == 0
+    assert capsys.readouterr().err == ""
+
+
+DET_CLOSED_ARGV = ["det", "--d", "2", "--q", "2", "--k", "1", "--method", "closed",
+                   "--forms", "2,1;1,3"]
+
+
+def assert_det_closed_anchor_fails(capsys):
+    """``det --method closed`` exits 1 on a fault that its two routes share;
+    the anchor names the closed form's split, u = d+q-2k."""
+    doc = assert_one_anchor_line(capsys, DET_CLOSED_ARGV, "(2,2,1,2)")
+    assert doc["match_direct"] is True
+
+
+def test_det_closed_anchor_catches_a_determinant_kernel_that_returns_0(capsys, zero_kernel):
+    assert_det_closed_anchor_fails(capsys)
+
+
+def test_det_closed_anchor_catches_a_scaling_fault_that_both_routes_share(
+    capsys, inverted_scaling
+):
+    assert_det_closed_anchor_fails(capsys)
+
+
+def test_det_closed_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
+    assert main(DET_CLOSED_ARGV) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -610,9 +640,66 @@ def test_the_anchor_builds_no_literal_audit(capsys, monkeypatch):
 
 
 def test_every_lattice_cell_is_anchored():
-    from lefdet.cli import eval_cell, lattice_cells
+    from lefdet.cli import cell_anchors, lattice_cells
 
-    assert all(eval_cell(0, cell, 1, False)[1] for cell in lattice_cells(7))
+    cells = lattice_cells(7)
+    anchored = cell_anchors(cells)
+    assert len(anchored) == len(cells) and all(anchored)
+
+
+def doubled_expansion(at_split):
+    def patch(monkeypatch):
+        import lefdet.formulas as formulas
+
+        exact = formulas.det_schur_expansion
+
+        def expansion(rp, k, sf):
+            value = exact(rp, k, sf)
+            if at_split in (None, sf.u):
+                return formulas.Expansion(value.value * 2, value.terms)
+            return value
+
+        monkeypatch.setattr(formulas, "det_schur_expansion", expansion)
+    return patch
+
+
+def doubled(route):
+    def patch(monkeypatch):
+        import lefdet.formulas as formulas
+
+        exact = getattr(formulas, route)
+        monkeypatch.setattr(formulas, route, lambda *a: exact(*a) * 2)
+    return patch
+
+
+@pytest.mark.parametrize("fault, holds", [
+    (None, lambda u: True),
+    (doubled("_det_direct_scaled"), lambda u: False),
+    (doubled("_closed_form_scaled"), lambda u: False),
+    (doubled_expansion(None), lambda u: False),
+    (doubled_expansion(1), lambda u: u != 1),
+], ids=["exact", "direct", "closed", "expansion", "expansion-at-u-1"])
+def test_the_per_degree_anchor_is_anchor_holds_per_cell(monkeypatch, fault, holds):
+    from lefdet.cli import cell_anchors, lattice_cells
+    from lefdet.formulas import anchor_holds
+
+    if fault is not None:
+        fault(monkeypatch)
+    cells = lattice_cells(7)
+    per_cell = [anchor_holds(RingParams(d, q), k, u) for d, q, k, u in cells]
+    assert cell_anchors(cells) == per_cell == [holds(u) for *_, u in cells]
+
+
+def test_verify_runs_det_power_once_per_ring_degree(capsys, monkeypatch):
+    import lefdet.formulas as formulas
+
+    calls = []
+    exact = formulas.det_power
+    monkeypatch.setattr(formulas, "det_power", lambda *a: calls.append(a[:2]) or exact(*a))
+    assert main(["verify", "--dmax", "7", "--trials", "5", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # 160 cells over 40 degrees (d, q, k)
+    assert len(calls) == len(set(calls)) == 40
 
 
 def test_arithmetic_fault_is_an_error_document_not_a_mismatch(capsys, monkeypatch):

@@ -164,8 +164,10 @@ def test_matmul_of_rectangular_and_empty_shapes():
 
 
 def test_det_rejects_inexact_entries():
-    with pytest.raises(ValueError, match="not exact"):
-        det(ExactMatrix(1, 1, [0.5]))
+    # a 1x1 determinant is its entry only for an exact entry
+    for bad in (0.5, True, False):
+        with pytest.raises(ValueError, match="not exact"):
+            det(ExactMatrix(1, 1, [bad]))
     x, _ = MultiPoly.variables(2)
     with pytest.raises(ValueError, match="not exact"):
         det(ExactMatrix.from_rows([[x, 1.0], [1, x]]))
@@ -207,16 +209,17 @@ def test_inexact_entries_are_rejected_even_under_optimize():
     script = (
         "import lefdet.linalg as la\n"
         "for f in (la.det, la.det_bareiss):\n"
-        "    try:\n"
-        "        print(f(la.ExactMatrix(1, 1, [0.5])))\n"
-        "    except ValueError:\n"
-        "        print('ValueError')\n"
+        "    for bad in (0.5, True):\n"
+        "        try:\n"
+        "            print(f(la.ExactMatrix(1, 1, [bad])))\n"
+        "        except ValueError:\n"
+        "            print('ValueError')\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(lefdet.__file__).resolve().parents[1]))
     run = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert run.stdout.split() == ["ValueError", "ValueError"]
+    assert run.stdout.split() == ["ValueError"] * 4
 
 
 @st.composite
@@ -354,7 +357,7 @@ def test_an_int_matrix_has_an_int_determinant(route, rows):
     assert type(value) is int and value == det_by_permutations(m)
 
 
-@pytest.mark.parametrize("route", [det, det_bareiss])
+@pytest.mark.parametrize("route", [det, det_bareiss, det_laplace])
 @pytest.mark.parametrize("rows", TYPED_ROWS[1:])
 @pytest.mark.parametrize("at", [0, -1])
 def test_one_fraction_entry_makes_a_fraction_determinant(route, rows, at):
@@ -364,6 +367,42 @@ def test_one_fraction_entry_makes_a_fraction_determinant(route, rows, at):
     m = ExactMatrix.from_rows(entries)
     value = route(m)
     assert type(value) is Fraction and value == det_by_permutations(m)
+
+
+def test_laplace_and_bareiss_return_the_same_type_on_rational_matrices():
+    # zero entries add no Laplace term, so a sum can skip every Fraction entry
+    rng = random.Random(28)
+    matrices = [[[0, 0], [Fraction(1, 2), 1]], [[1, 0], [Fraction(1, 2), 1]]]
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        matrices.append([
+            [rng.choice([0, 0, 1, -2, Fraction(0), Fraction(3), Fraction(-1, 2)])
+             for _ in range(n)]
+            for _ in range(n)
+        ])
+    for rows in matrices:
+        m = ExactMatrix.from_rows(rows)
+        laplace, bareiss = det_laplace(m), det_bareiss(m)
+        assert type(laplace) is type(bareiss) and laplace == bareiss, rows
+
+
+X, _ = MultiPoly.variables(2)
+
+
+@pytest.mark.parametrize(
+    "entry", [0, -7, 2**80, Fraction(0), Fraction(4), Fraction(-3, 5), X, X * 0, X * X + 3],
+)
+def test_det_of_a_1x1_matrix_is_its_entry_without_a_route(monkeypatch, entry):
+    import lefdet.linalg as linalg
+
+    m = ExactMatrix(1, 1, [entry])
+    route = det_laplace(m) if type(entry) is MultiPoly else det_bareiss(m)
+    monkeypatch.setattr(linalg, "_det_bareiss", lambda m, types: pytest.fail("Bareiss ran"))
+    monkeypatch.setattr(linalg, "det_laplace", lambda m: pytest.fail("Laplace ran"))
+    value = det(m)
+    assert value is entry and value == route
+    # Laplace skips a zero entry, so it gives the int 0 for the zero MultiPoly
+    assert type(route) is type(entry) or route == 0 == entry
 
 
 # --- minors ------------------------------------------------------------------

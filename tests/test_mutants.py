@@ -29,8 +29,9 @@ def test_every_mutant_row_occurs_exactly_once_in_its_source():
 
 def test_every_shared_fault_row_also_runs_report():
     # a fault in the determinant kernel or the scale factor reaches every
-    # route of a record alike, so only the anchor sees it, and ``report``
-    # runs the anchor as ``verify`` does
+    # route of a record alike, so only the anchor sees it; ``report`` runs
+    # the anchor as ``verify`` does, and ``det --method closed`` its
+    # split-free half
     mutants = load_gate()
     shared = {reason for *_, reason, commands in mutants.MUTANTS if commands == mutants.SHARED}
     assert shared == {
@@ -43,9 +44,11 @@ def test_every_shared_fault_row_also_runs_report():
         "ExactMatrix.row starts each row at entry r // cols",
     }
     assert all(commands in (mutants.OWN, mutants.SHARED) for *_, commands in mutants.MUTANTS)
-    assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT)
+    assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT, mutants.DET_CLOSED)
     assert mutants.REPORT[2:] == ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1",
                                   "--forms", "2,1;1,3"]
+    assert mutants.DET_CLOSED[2:] == ["det", "--d", "2", "--q", "2", "--k", "1",
+                                      "--method", "closed", "--forms", "2,1;1,3"]
 
 
 def test_gate_children_run_without_bytecode(monkeypatch):

@@ -7,13 +7,13 @@ the unmutated copy, which must exit 0, then once per row of ``MUTANTS`` with
 that row's edit applied, which must exit 1 and name the reproduce command on
 stderr.  A row marked ``SHARED`` breaks what every route of a record shares
 (the determinant kernel or the scale factor), so only an anchor can see it;
-the gate also runs ``REPORT`` on it, which must fail the same way, and on
-the unmutated copy, which must exit 0.  A row's ``old`` text must occur
-exactly once in its file, so a row that no longer matches the source fails
-loudly instead of testing nothing.  Children run with ``-B``: a cached
-``.pyc`` is keyed on the source's size and whole-second mtime, so bytecode
-written for the unmutated copy could otherwise stand in for a same-length
-mutant written within the same second.  Exit 0 when every mutant is killed,
+the gate also runs ``REPORT`` and ``DET_CLOSED`` on it, which must fail the
+same way, and on the unmutated copy, which must exit 0.  A row's ``old``
+text must occur exactly once in its file, so a row that no longer matches
+the source fails loudly instead of testing nothing.  Children run with
+``-B``: a cached ``.pyc`` is keyed on the source's size and whole-second
+mtime, so bytecode written for the unmutated copy could otherwise stand in
+for a same-length mutant written within the same second.  Exit 0 when every mutant is killed,
 1 otherwise.  Standard library only; each run of ``VERIFY`` takes under half
 a second on a 2-vCPU host.
 """
@@ -31,10 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY = ["-m", "lefdet", "verify", "--dmax", "6", "--trials", "3", "--seed", "1"]
 REPORT = ["-m", "lefdet", "report", "--d", "2", "--q", "2", "--k", "1", "--u", "1",
           "--forms", "2,1;1,3"]
+DET_CLOSED = ["-m", "lefdet", "det", "--d", "2", "--q", "2", "--k", "1", "--method", "closed",
+              "--forms", "2,1;1,3"]
 
 # the commands a row must make exit 1 with the reproduce line
 OWN = (VERIFY,)
-SHARED = (VERIFY, REPORT)
+SHARED = (VERIFY, REPORT, DET_CLOSED)
 
 # (file under src, old text, new text, what the mutant breaks, commands)
 MUTANTS = [
