@@ -17,22 +17,21 @@ order in one thread, each by a pure function keyed on (seed, cell
 coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
-``verify``, ``sweep`` and ``report`` also anchor every cell they give a
-verdict on, as ``formulas.anchor_holds`` does: at d+q-2k copies of
-``ANCHOR_FORM`` = 2/3 x - 5/7 y, the direct route, the expansion and the
-closed form must each equal ``det_power``, the hook-content product, which
-takes no determinant, builds no E-table and never calls ``scaled_forms``.
-Every route of a record reduces through the same ``linalg.det`` and the same
-scaled cell, so a determinant kernel that returns 0, or a scaling fault,
-makes all of them agree on every trial; the anchor still sees it.  The
-form's scale factor is not 1, which ``x + y``'s would be.  ``verify`` and
-``sweep`` run ``formulas.degree_anchor`` once per ring degree (d, q, k):
-``det_power``, the scaling, the direct route and the closed form once, and
-the expansion once per selected split.  ``det --method closed`` checks the
-anchor's split-free half, the direct route and the closed form.  ``det
---method expansion`` is not anchored: its anchor would repeat a large
-cell's expansion, which cost the large-cells benchmark about a fifth more
-wall time.  An anchor adds nothing to stdout.
+``verify``, ``sweep``, ``report`` and ``det --method closed`` also anchor
+every cell (d, q, k, u) they give a verdict on, through ``anchors_hold``,
+which runs ``formulas.degree_anchor`` once per ring degree (d, q, k): at
+d+q-2k copies of ``ANCHOR_FORM`` = 2/3 x - 5/7 y, the direct route, the
+expansion at u and the closed form must each equal ``det_power``, the
+hook-content product, which takes no determinant, builds no E-table and
+never calls ``scaled_forms``.  Every route of a record reduces through the
+same ``linalg.det`` and the same scaled cell, so a determinant kernel that
+returns 0, or a scaling fault, makes all of them agree on every trial; the
+anchor still sees it.  The form's scale factor is not 1, which ``x + y``'s
+would be.  ``det --method closed`` anchors the closed form's cell, u =
+d+q-2k, whose expansion has one term.  ``det --method expansion`` is not
+anchored: its anchor would repeat a large cell's expansion, which cost the
+large-cells benchmark about a fifth more wall time.  An anchor that holds
+adds nothing to stdout.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
 determinant and the expansion or closed form, at any split, or a failed
@@ -46,8 +45,8 @@ exits 1 on the same disagreement.  When no trial mismatches but an anchor
 fails, ``summary.mismatches`` stays 0 (it counts trials) and the one line
 names the first failing cell and the ``lefdet verify --d D --q Q --k K --u U
 --trials 1`` command that runs that cell's anchor again, which exits 1 on the
-same fault.  ``report`` writes the same line when its cell's anchor fails,
-and so does ``det --method closed``, naming the split u = d+q-2k.
+same fault.  ``report`` and ``det --method closed`` write the same line
+when their cell's anchor fails.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -66,7 +65,6 @@ from itertools import groupby
 from .formulas import (
     ANCHOR_FORM,
     SplitForms,
-    anchor_holds,
     complement_identity_check,
     degree_anchor,
     det_closed_form,
@@ -271,14 +269,26 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
     return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
 
 
-def cell_anchors(cells) -> list[bool]:
-    """Whether each cell's anchor holds: ``anchor_holds(RingParams(d, q), k, u)``
-    per cell, with ``degree_anchor`` run once for each run of consecutive
-    cells that share (d, q, k); the lattice's sort makes each degree one run."""
-    anchored = []
+def anchors_hold(cells) -> bool:
+    """Whether the anchor holds at every cell (d, q, k, u), in order.
+
+    ``degree_anchor`` runs once for each run of consecutive cells that share
+    (d, q, k); the lattice's sort makes each degree one run.  At the first
+    failing cell, writes the one stderr line naming the ``lefdet verify``
+    command that runs that cell's anchor again, and returns False.
+    """
     for (d, q, k), degree in groupby(cells, key=lambda cell: cell[:3]):
-        anchored += degree_anchor(RingParams(d, q), k, [u for *_, u in degree])[1]
-    return anchored
+        splits = [u for *_, u in degree]
+        for u, holds in zip(splits, degree_anchor(RingParams(d, q), k, splits)):
+            if not holds:
+                sys.stderr.write(
+                    f"lefdet: anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the routes "
+                    f"at {d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} "
+                    f"do not all give det_power; reproduce with: lefdet verify --d {d} "
+                    f"--q {q} --k {k} --u {u} --trials 1\n"
+                )
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +317,7 @@ def cmd_det(args) -> tuple[dict, bool]:
     anchored = True
     if args.method == "closed":
         value = det_closed_form(rp, args.k, sf.all_forms)
-        # the anchor's split-free half; with no --u, sf.u is d+q-2k, the closed form's split
-        anchored = degree_anchor(rp, args.k)[0]
-        if not anchored:
-            write_failed_anchor(args.d, args.q, args.k, sf.u)
+        anchored = anchors_hold([(args.d, args.q, args.k, rp.socle - 2 * args.k)])
     else:
         body["inputs"]["u"] = sf.u
         expansion = det_schur_expansion(rp, args.k, sf)
@@ -349,16 +356,6 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     return cells
 
 
-def write_failed_anchor(d: int, q: int, k: int, u: int) -> None:
-    """The one stderr line for a failed anchor, naming the command that reruns it."""
-    sys.stderr.write(
-        f"lefdet: anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the routes at "
-        f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} do not all "
-        f"give det_power; reproduce with: lefdet verify --d {d} --q {q} --k {k} --u {u} "
-        f"--trials 1\n"
-    )
-
-
 def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
     """Evaluate the cells that ``verify`` or ``sweep`` selects.
 
@@ -386,11 +383,8 @@ def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
                     f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
                 )
             mismatches += 1
-    unanchored = [cell for cell, anchored in zip(cells, cell_anchors(cells)) if not anchored]
-    if unanchored and not mismatches:
-        write_failed_anchor(*unanchored[0])
     inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
-    return inputs, results, mismatches, not (mismatches or unanchored)
+    return inputs, results, mismatches, not mismatches and anchors_hold(cells)
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
@@ -535,10 +529,7 @@ def cmd_report(args) -> tuple[dict, bool]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    anchored = anchor_holds(rp, args.k, sf.u)
-    if not anchored:
-        write_failed_anchor(args.d, args.q, args.k, sf.u)
-    return body, record.agrees and anchored
+    return body, anchors_hold([(args.d, args.q, args.k, sf.u)]) and record.agrees
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,12 @@ identity still checks each term's Schur values.
 
 Every verdict route of a record shares the gate's scaling and
 ``linalg.det``, so a fault in either can make them all agree.  ``det_power``
-shares neither: ``anchor_holds`` checks the direct route, the expansion and
-the closed form of a cell at n copies of ``ANCHOR_FORM``, a form with
-non-integer coefficients, against it, and the CLI runs it for every cell it
-gives a verdict on.  ``degree_anchor`` is the same check for every split of
-one degree at once: only the expansion depends on the split, so
-``det_power``, the scaling, the direct route and the closed form run once
-per degree; its split-free half alone anchors ``lefdet det --method
-closed``.
+shares neither: ``degree_anchor`` checks the direct route, the expansion and
+the closed form at n copies of ``ANCHOR_FORM``, a form with non-integer
+coefficients, against it, for the cells of one degree k at the given
+splits, and the CLI runs it for every cell it gives a verdict on.  Only the
+expansion depends on the split, so ``det_power``, the scaling, the direct
+route and the closed form run once per call.
 
 ``det_power`` is the closed form for n = d+q-2k copies of one form ax + by.
 There E_m(a; b) = C(n, m) a^m b^(n-m), so the rectangle's Jacobi-Trudi
@@ -237,43 +235,32 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
 ANCHOR_FORM = LinearForm(Fraction(2, 3), Fraction(-5, 7))
 
 
-def degree_anchor(rp: RingParams, k: int, splits=()) -> tuple[bool, list[bool]]:
-    """The anchor of degree k: its split-free verdict, and ``anchor_holds`` per split.
-
-    Returns whether the direct route and the closed form give ``det_power``
-    at n = d+q-2k copies of ``ANCHOR_FORM``, and, for each split point u in
-    ``splits``, in order, whether the expansion at u does as well.  Neither
-    ``det_power``, the copies' one ``scaled_forms`` call, the direct route
-    nor the closed form depends on the split, so each runs once however
-    many splits are asked for; only the expansion runs per split.
-    """
-    expected = det_power(rp, k, ANCHOR_FORM)
-    scaled, factor = scaled_forms(rp, k, (ANCHOR_FORM,) * (rp.socle - 2 * k))
-    split_free = (
-        _det_direct_scaled(rp, k, scaled, factor) == expected
-        and _closed_form_scaled(rp, k, scaled, factor) == expected
-    )
-    return split_free, [
-        split_free
-        and det_schur_expansion(rp, k, SplitForms.split(scaled, u)).value * factor == expected
-        for u in splits
-    ]
-
-
-def anchor_holds(rp: RingParams, k: int, u: int) -> bool:
-    """Whether every verdict route gives ``det_power`` at n copies of ``ANCHOR_FORM``.
+def degree_anchor(rp: RingParams, k: int, splits) -> list[bool]:
+    """Whether every verdict route gives ``det_power`` at n copies of ``ANCHOR_FORM``,
+    one verdict per split point u in ``splits``, in order.
 
     n = d+q-2k.  One ``scaled_forms`` call scales the copies; the direct
-    route, the closed form and the expansion at split point ``u`` (the
-    public ``det_schur_expansion`` on the split of the scaled copies, times
-    the factor) must each equal ``det_power``, which takes no determinant,
+    route, the closed form and the expansion at u (the public
+    ``det_schur_expansion`` on the split of the scaled copies, times the
+    factor) must each equal ``det_power``, which takes no determinant,
     builds no E-table and never calls ``scaled_forms``.  So a fault that
     every route shares, such as a determinant kernel that returns 0 or a
     wrong scale factor, fails the anchor even where the routes still agree
-    with each other.  The literal audit gives no verdict and is not
-    evaluated.  This is ``degree_anchor`` at the one split ``u``.
+    with each other.  Only the expansion depends on the split: the direct
+    route and the closed form run once, and if either misses, every split
+    reads False.  The literal audit gives no verdict and is not evaluated.
     """
-    return degree_anchor(rp, k, (u,))[1][0]
+    expected = det_power(rp, k, ANCHOR_FORM)
+    scaled, factor = scaled_forms(rp, k, (ANCHOR_FORM,) * (rp.socle - 2 * k))
+    unsplit = (
+        _det_direct_scaled(rp, k, scaled, factor) == expected
+        and _closed_form_scaled(rp, k, scaled, factor) == expected
+    )
+    return [
+        unsplit
+        and det_schur_expansion(rp, k, SplitForms.split(scaled, u)).value * factor == expected
+        for u in splits
+    ]
 
 
 class SlpEntry(Record):

@@ -12,10 +12,11 @@ matrix before any arithmetic.  A 1x1 matrix of an ``int``, ``Fraction``
 or ``MultiPoly`` entry takes neither route: ``det`` returns the entry, and
 any other 1x1 entry still reaches its route's check.  Integer matrices
 give integer determinants: when every entry is an ``int`` (the empty
-matrix included) both routes return an ``int``, and both return a
-``Fraction`` when one entry is a ``Fraction``.  The rule reads entry
+matrix included) both routes return an ``int``, both return a
+``Fraction`` when one entry is a ``Fraction``, and Laplace returns a
+``MultiPoly`` when one entry is a ``MultiPoly``.  The rule reads entry
 types, never values: an integral ``Fraction`` entry still gives a
-``Fraction``.
+``Fraction``, and a zero ``MultiPoly`` a ``MultiPoly``.
 ``det_mod`` is a third route, for ``int`` matrices modulo a prime: it
 shares no code with the other two, and its values stay below the modulus,
 so it can check large integer determinants.
@@ -194,13 +195,12 @@ def det_laplace(m: ExactMatrix):
     """Cofactor expansion over any exact ring (checked), memoized on column subsets.
 
     Row ``r`` expands over the columns left in ``mask``, so the mask alone
-    names a minor.  A zero entry adds no term, and neither does a zero minor
-    once the sum is a ``MultiPoly``; while the sum is still a scalar, a zero
-    minor's term is added, so a ``MultiPoly`` entry times a zero minor still
-    makes the sum a ``MultiPoly``.  A scalar result follows Bareiss's type
-    rule: an ``int`` when every entry is an ``int`` (1 for the empty
-    matrix), a ``Fraction`` when some entry is a ``Fraction``, also where
-    the terms skipped for zero entries held every ``Fraction``.
+    names a minor.  A zero entry or a zero minor adds no term.  The result's
+    type is read from the entry types, never from where a zero sits: a
+    ``MultiPoly`` when some entry is one (a scalar sum becomes a constant of
+    that entry's arity), and otherwise Bareiss's rule, an ``int`` when every
+    entry is an ``int`` (1 for the empty matrix) and a ``Fraction`` when
+    some entry is a ``Fraction``.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -229,13 +229,13 @@ def det_laplace(m: ExactMatrix):
                 minor = rec(r + 1, mask ^ bit)
                 if minor:
                     total = total - e * minor if negate else total + e * minor
-                elif type(total) is not MultiPoly:
-                    total = total + e * minor
             negate = not negate
         memo[mask] = total
         return total
 
     value = rec(0, (1 << n) - 1)
+    if MultiPoly in types and type(value) is not MultiPoly:
+        return MultiPoly.constant(next(e.arity for e in entries if type(e) is MultiPoly), value)
     return Fraction(value) if type(value) is int and Fraction in types else value
 
 
@@ -243,9 +243,8 @@ def det(m: ExactMatrix):
     """Exact determinant; Laplace over ``MultiPoly``, Bareiss otherwise.
 
     A 1x1 matrix whose entry is an ``int``, a ``Fraction`` or a
-    ``MultiPoly`` is its entry, with no set-up: the value and type Bareiss
-    returns, and Laplace too, except that Laplace gives the ``int`` 0 for a
-    zero ``MultiPoly``.  Any other matrix is only dispatched, on the set of
+    ``MultiPoly`` is its entry, with no set-up: the value and type its
+    route returns.  Any other matrix is only dispatched, on the set of
     entry types, which ``det`` builds once and hands to Bareiss: the chosen
     route rejects an inexact entry (a ``float`` or a ``bool``, a 1x1 one
     included) anywhere in the matrix with a ``ValueError``.

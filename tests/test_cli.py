@@ -639,12 +639,21 @@ def test_the_anchor_builds_no_literal_audit(capsys, monkeypatch):
     assert len(calls) == 800
 
 
-def test_every_lattice_cell_is_anchored():
-    from lefdet.cli import cell_anchors, lattice_cells
+def test_every_lattice_cell_is_anchored(capsys, monkeypatch):
+    import lefdet.cli as cli
 
-    cells = lattice_cells(7)
-    anchored = cell_anchors(cells)
-    assert len(anchored) == len(cells) and all(anchored)
+    anchored = []
+    exact = cli.degree_anchor
+
+    def recorded(rp, k, splits):
+        anchored.extend((rp.d, rp.q, k, u) for u in splits)
+        return exact(rp, k, splits)
+
+    monkeypatch.setattr(cli, "degree_anchor", recorded)
+    cells = cli.lattice_cells(7)
+    assert cli.anchors_hold(cells)
+    assert anchored == cells
+    assert capsys.readouterr().err == ""
 
 
 def doubled_expansion(at_split):
@@ -679,15 +688,50 @@ def doubled(route):
     (doubled_expansion(None), lambda u: False),
     (doubled_expansion(1), lambda u: u != 1),
 ], ids=["exact", "direct", "closed", "expansion", "expansion-at-u-1"])
-def test_the_per_degree_anchor_is_anchor_holds_per_cell(monkeypatch, fault, holds):
-    from lefdet.cli import cell_anchors, lattice_cells
-    from lefdet.formulas import anchor_holds
+def test_anchors_hold_is_degree_anchor_per_cell(capsys, monkeypatch, fault, holds):
+    from lefdet.cli import anchors_hold, lattice_cells
+    from lefdet.formulas import degree_anchor
 
     if fault is not None:
         fault(monkeypatch)
     cells = lattice_cells(7)
-    per_cell = [anchor_holds(RingParams(d, q), k, u) for d, q, k, u in cells]
-    assert cell_anchors(cells) == per_cell == [holds(u) for *_, u in cells]
+    per_cell = [degree_anchor(RingParams(d, q), k, [u])[0] for d, q, k, u in cells]
+    assert per_cell == [holds(u) for *_, u in cells]
+    assert anchors_hold(cells) == all(per_cell)
+    err = capsys.readouterr().err
+    failing = [cell for cell, anchored in zip(cells, per_cell) if not anchored]
+    if failing:
+        # one line, for the first failing cell
+        assert err.count("\n") == 1
+        assert err.startswith("lefdet: anchor failed at (d,q,k,u) = (%d,%d,%d,%d):" % failing[0])
+    else:
+        assert err == ""
+
+
+def test_det_closed_anchor_runs_the_expansion_its_reproduce_command_runs(capsys, monkeypatch):
+    # a fault in the expansion at u = d+q-2k, where the hat group is empty:
+    # the command that the anchor line names exits 1 on it, so det must too
+    doubled_expansion(2)(monkeypatch)
+    code = main(DET_CLOSED_ARGV)
+    captured = capsys.readouterr()
+    assert code == 1 and json.loads(captured.out)["match_direct"] is True
+    assert captured.err.startswith("lefdet: anchor failed at (d,q,k,u) = (2,2,1,2):")
+    command = shlex.split(captured.err.split("reproduce with: ", 1)[1])
+    assert command[command.index("--u") + 1] == "2"
+    assert main(command[1:]) == 1
+
+
+def test_verify_with_a_mismatching_trial_runs_no_anchor(
+    capsys, monkeypatch, closed_form_off_by_one
+):
+    # the mismatch is the one stderr line, so the anchor's verdict is not needed
+    import lefdet.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "degree_anchor", lambda *a: calls.append(a))
+    assert main(["verify", "--dmax", "3"]) == 1
+    assert capsys.readouterr().err.startswith("lefdet: first mismatch at")
+    assert calls == []
 
 
 def test_verify_runs_det_power_once_per_ring_degree(capsys, monkeypatch):

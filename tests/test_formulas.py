@@ -11,8 +11,8 @@ from lefdet.formulas import (
     SplitForms,
     _rectangle_sides,
     _rectangle_tableaux,
-    anchor_holds,
     complement_identity_check,
+    degree_anchor,
     det_closed_form,
     det_literal_cases,
     det_power,
@@ -674,7 +674,7 @@ def test_one_report_scales_its_cell_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_anchor_holds_on_every_split_of_every_cell_and_builds_no_audit(monkeypatch):
+def test_degree_anchor_is_true_at_every_split_of_every_cell_and_builds_no_audit(monkeypatch):
     import lefdet.formulas as formulas
 
     # a scale factor of 1 would hide a scaling fault
@@ -683,8 +683,8 @@ def test_anchor_holds_on_every_split_of_every_cell_and_builds_no_audit(monkeypat
     for d, q in [(1, 1), (2, 1), (3, 2), (4, 4), (5, 2)]:
         rp = RingParams(d, q)
         for k in range(rp.socle // 2 + 1):
-            for u in range(rp.socle - 2 * k + 1):
-                assert anchor_holds(rp, k, u), (d, q, k, u)
+            splits = range(rp.socle - 2 * k + 1)
+            assert degree_anchor(rp, k, splits) == [True] * len(splits), (d, q, k)
 
 
 @pytest.mark.parametrize("route", ["_det_direct_scaled", "_closed_form_scaled"])
@@ -693,7 +693,8 @@ def test_anchor_fails_when_one_route_misses_det_power(monkeypatch, route):
 
     exact = getattr(formulas, route)
     monkeypatch.setattr(formulas, route, lambda *a: exact(*a) * 2)
-    assert not anchor_holds(RingParams(3, 2), 1, 1)
+    # the route does not depend on the split, so every split of the degree fails
+    assert degree_anchor(RingParams(3, 2), 1, range(4)) == [False] * 4
 
 
 def test_anchor_fails_when_the_expansion_misses_det_power(monkeypatch):
@@ -704,7 +705,7 @@ def test_anchor_fails_when_the_expansion_misses_det_power(monkeypatch):
         formulas, "det_schur_expansion",
         lambda rp, k, sf: formulas.Expansion(0, exact(rp, k, sf).terms),
     )
-    assert not anchor_holds(RingParams(3, 2), 1, 1)
+    assert degree_anchor(RingParams(3, 2), 1, [1]) == [False]
 
 
 def test_report_routes_equal_the_public_routes_on_every_lattice_cell():

@@ -324,17 +324,22 @@ def test_laplace_over_polynomials_evaluates_to_bareiss(m, point):
 
 
 def test_laplace_result_type_counts_zero_terms():
-    # a zero term still makes the sum a MultiPoly (or a Fraction), as the
-    # unskipped cofactor sum would
+    # the type is read from the entries, as the unskipped cofactor sum's
+    # would be, wherever a zero entry or a zero minor sits
     x, y = MultiPoly.variables(2)
     for rows, kind, value in (
         ([[x, y], [0, 0]], MultiPoly, 0),
         ([[x, 1], [1, 0]], MultiPoly, -1),
+        ([[1, 0], [x, 1]], MultiPoly, 1),
+        ([[1, x], [0, 1]], MultiPoly, 1),
+        ([[x * 0]], MultiPoly, 0),
         ([[Fraction(1, 2), 1], [0, 0]], Fraction, 0),
         ([[2, 1], [1, 1]], int, 1),
     ):
-        got = det_laplace(ExactMatrix.from_rows(rows))
+        m = ExactMatrix.from_rows(rows)
+        got = det_laplace(m)
         assert type(got) is kind and got == value, rows
+        assert type(det(m)) is kind, rows
 
 
 # each reaches a different return of Bareiss: empty, single entry, zero row,
@@ -400,9 +405,7 @@ def test_det_of_a_1x1_matrix_is_its_entry_without_a_route(monkeypatch, entry):
     monkeypatch.setattr(linalg, "_det_bareiss", lambda m, types: pytest.fail("Bareiss ran"))
     monkeypatch.setattr(linalg, "det_laplace", lambda m: pytest.fail("Laplace ran"))
     value = det(m)
-    assert value is entry and value == route
-    # Laplace skips a zero entry, so it gives the int 0 for the zero MultiPoly
-    assert type(route) is type(entry) or route == 0 == entry
+    assert value is entry and value == route and type(route) is type(entry)
 
 
 # --- minors ------------------------------------------------------------------

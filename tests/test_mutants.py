@@ -29,9 +29,9 @@ def test_every_mutant_row_occurs_exactly_once_in_its_source():
 
 def test_every_shared_fault_row_also_runs_report():
     # a fault in the determinant kernel or the scale factor reaches every
-    # route of a record alike, so only the anchor sees it; ``report`` runs
-    # the anchor as ``verify`` does, and ``det --method closed`` its
-    # split-free half
+    # route of a record alike, so only the anchor sees it; ``report`` and
+    # ``det --method closed`` run their one cell's full anchor, as ``verify``
+    # does for each of its cells
     mutants = load_gate()
     shared = {reason for *_, reason, commands in mutants.MUTANTS if commands == mutants.SHARED}
     assert shared == {

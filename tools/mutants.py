@@ -7,8 +7,9 @@ the unmutated copy, which must exit 0, then once per row of ``MUTANTS`` with
 that row's edit applied, which must exit 1 and name the reproduce command on
 stderr.  A row marked ``SHARED`` breaks what every route of a record shares
 (the determinant kernel or the scale factor), so only an anchor can see it;
-the gate also runs ``REPORT`` and ``DET_CLOSED`` on it, which must fail the
-same way, and on the unmutated copy, which must exit 0.  A row's ``old``
+the gate also runs ``REPORT`` and ``DET_CLOSED`` on it, each of which runs
+its one cell's full anchor, as ``VERIFY`` does for each of its cells, and
+must fail the same way; on the unmutated copy they must exit 0.  A row's ``old``
 text must occur exactly once in its file, so a row that no longer matches
 the source fails loudly instead of testing nothing.  Children run with
 ``-B``: a cached ``.pyc`` is keyed on the source's size and whole-second
