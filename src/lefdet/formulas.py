@@ -73,6 +73,7 @@ such a summand is skipped.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, perm, prod
 
@@ -143,6 +144,25 @@ class Expansion(Record):
     __slots__ = ("value", "terms")
 
 
+@lru_cache(maxsize=256)
+def _term_skeleton(lo: int, hi: int, size: int, u: int, nu_base: int) -> tuple:
+    """Each delta of the expansion with its partitions, as (delta, lam, nu) triples.
+
+    The triples depend only on the cell's shape, not on the forms, so one
+    skeleton serves every expansion of that shape; it holds only tuples and
+    frozen ``Partition``s.  The cells with d+q <= 10 have 220 shapes, so
+    256 holds every shape a lattice run up to there meets.
+    """
+    return tuple(
+        (
+            delta,
+            Partition(u + r - delta[r] for r in range(size)),
+            Partition(nu_base + r - delta[r] for r in range(size)),
+        )
+        for delta in combinations(range(lo, hi + 1), size)
+    )
+
+
 def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
     """Minor-expansion determinant with a full term trace.
 
@@ -161,9 +181,7 @@ def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
     hat_pair = sf.hat_pair()
     terms = []
     total = 0
-    for delta in combinations(range(lo, hi + 1), size):
-        lam = Partition(u + r - delta[r] for r in range(size))
-        nu = Partition(nu_base + r - delta[r] for r in range(size))
+    for delta, lam, nu in _term_skeleton(lo, hi, size, u, nu_base):
         value = schur_homog(nu, hat_pair, rows=size) * schur_homog(
             lam, check_pair, rows=size
         )

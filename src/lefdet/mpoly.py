@@ -192,13 +192,16 @@ class MultiPoly:
         if len(big) < len(small):
             big, small = small, big
         terms = dict(big)
-        get = terms.get
-        for key, coeff in small.items():
-            c = get(key, 0) + coeff
-            if c:
-                terms[key] = c if type(c) is int else _settle(c)
-            else:
-                del terms[key]
+        if terms.keys().isdisjoint(small):
+            terms.update(small)  # both sides are already zero-free and settled
+        else:
+            get = terms.get
+            for key, coeff in small.items():
+                c = get(key, 0) + coeff
+                if c:
+                    terms[key] = c if type(c) is int else _settle(c)
+                else:
+                    del terms[key]
         return _poly(self.arity, terms, max(self._top, other._top))
 
     __radd__ = __add__

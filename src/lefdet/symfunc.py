@@ -51,11 +51,17 @@ class HomogPair(Record):
         return len(self.a)
 
     def table(self) -> list:
-        """[E_0, ..., E_n] with E_k(a; b) the degree-k subset sum; E_0 = prod b."""
+        """[E_0, ..., E_n] with E_k(a; b) the degree-k subset sum.
+
+        E_0 is the product of the b's and E_n the product of the a's, each
+        with its product's type; the entries between mix both.  A pair of
+        all ``int``s, all ``Fraction``s or all ``MultiPoly``s keeps that one
+        type throughout.
+        """
         table: list = [1]
         for a_i, b_i in zip(self.a, self.b):
-            table.append(0)
-            for j in range(len(table) - 1, 0, -1):
+            table.append(a_i * table[-1])
+            for j in range(len(table) - 2, 0, -1):
                 table[j] = b_i * table[j] + a_i * table[j - 1]
             table[0] = b_i * table[0]
         return table

@@ -867,6 +867,13 @@ GOLDEN = [
         ["report", "--d", "4", "--q", "2", "--k", "2", "--u", "1", "--forms=3/2,-1/4;5,2/3"],
         0, "ff213fce7dd69d105f5219e858e96520427ebad9834748c6cbb34626207016eb",
     ),
+    (
+        # 56 terms of size 5: a deep trace, where the det-expansion row has 10
+        ["det", "--d", "10", "--q", "8", "--k", "4", "--u", "3", "--method", "expansion",
+         "--forms=5/7,-2/3;7/3,-2/5;3/2,5/7;2/3,7/5;2/5,3/7;-3/7,-5/2;-3/5,7/2;5/2,7/3;"
+         "-5/7,-3/2;7/3,5/2"],
+        0, "586c9049917459f16bbed05c6260644904638117a40ed9e60fa9d5171a62898e",
+    ),
 ]
 
 
@@ -875,7 +882,7 @@ GOLDEN = [
     ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion",
          "slp-rational", "slp-zero-dets", "det-direct-mixed", "duality", "schur",
          "duality-complement", "det-closed-mixed", "report-case3-skips",
-         "report-cases-1-4"],
+         "report-cases-1-4", "det-expansion-deep"],
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)

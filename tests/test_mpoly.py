@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import lefdet
 from lefdet.formulas import SplitForms, det_closed_form, det_schur_expansion, symbolic_forms
@@ -182,7 +182,14 @@ def naive_sum(p, q):
     return {e: c for e, c in out.items() if c}
 
 
+SUMMAND = {(1, 0, 0, 0): Fraction(1, 2), (0, 2, 0, 0): 3, (0, 0, 1, 1): Fraction(-4, 3)}
+
+
 @given(polys(arity=4, max_terms=10), polys(arity=4, max_terms=3))
+# disjoint supports: the sum is one merge of the two term dicts
+@example(P(4, SUMMAND), P(4, {(0, 0, 0, 2): Fraction(-2, 3), (2, 0, 0, 0): 1}))
+# one shared key, which cancels
+@example(P(4, SUMMAND), P(4, {(1, 0, 0, 0): Fraction(-1, 2), (0, 0, 0, 2): 5}))
 def test_sum_matches_tuple_sum_whichever_side_is_larger(p, q):
     for total in (p + q, q + p, p - q, q - p):
         assert stored_exactly(total)
@@ -191,6 +198,7 @@ def test_sum_matches_tuple_sum_whichever_side_is_larger(p, q):
 
 
 @given(polys(arity=4, max_terms=10))
+@example(P(4, {(1, 0, 2, 0): Fraction(-3, 4)}))  # a single shared key
 def test_sums_that_cancel_leave_the_empty_polynomial(p):
     for zero in (p + (-p), (-p) + p, p - p):
         assert zero._terms == {} and not zero and zero == 0 and zero.terms == {}

@@ -51,6 +51,14 @@ def test_every_shared_fault_row_also_runs_report():
                                       "--method", "closed", "--forms", "2,1;1,3"]
 
 
+def test_the_e_table_top_entry_has_its_own_row():
+    # the top entry is the one place where E_n becomes the product of the a's
+    mutants = load_gate()
+    rows = {row[:3]: row[4] for row in mutants.MUTANTS}
+    key = ("lefdet/symfunc.py", "table.append(a_i * table[-1])", "table.append(b_i * table[-1])")
+    assert rows.get(key) == mutants.OWN
+
+
 def test_gate_children_run_without_bytecode(monkeypatch):
     # a .pyc cached for the unmutated copy could stand in for a same-length
     # mutant written within the same second
@@ -59,3 +67,28 @@ def test_gate_children_run_without_bytecode(monkeypatch):
     monkeypatch.setattr(mutants.subprocess, "run", lambda argv, **kw: calls.append(argv))
     mutants.run(ROOT / "src", mutants.VERIFY)
     assert calls and calls[0][1] == "-B", calls
+
+
+def test_scan_mutates_one_span_and_leaves_every_gate_row_applicable():
+    # the scan edits source spans and re-renders nothing, so a gate row's
+    # text survives every scan mutant that does not touch the row itself
+    mutants = load_gate()
+    rows = {}
+    for file, old, *_ in mutants.MUTANTS:
+        rows.setdefault(file, []).append(old)
+    assert set(rows) <= {f"lefdet/{name}" for name in mutants.SCAN_FILES}
+    scanned = 0
+    for name in mutants.SCAN_FILES:
+        file = f"lefdet/{name}"
+        text = (ROOT / "src" / file).read_text()
+        for m in mutants.scan_mutants(text, file):
+            scanned += 1
+            assert text[m.start : m.end] == m.old != m.new, m
+            assert text.count("\n", 0, m.start) + 1 == m.line, m
+            mutated = m.apply(text)
+            assert len(mutated) - len(text) == len(m.new) - len(m.old), m
+            for old in rows.get(file, ()):
+                at = text.index(old)
+                if m.end <= at or at + len(old) <= m.start:
+                    assert mutated.count(old) == 1, (m, old)
+    assert scanned > 400

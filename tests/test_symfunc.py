@@ -172,6 +172,24 @@ def test_schur_homog_type_follows_the_pair(lam, pair, kind):
     assert type(schur_homog(Partition(lam), pair, rows=3)) is kind
 
 
+def test_table_ends_are_the_products_with_their_types():
+    table = HomogPair((1,), (Fraction(1, 2),)).table()
+    assert table == [Fraction(1, 2), 1] and list(map(type, table)) == [Fraction, int]
+    # a 1x1 Jacobi-Trudi matrix is its one entry: here E_3, the product of
+    # the all-int a's, so an int although one b is a Fraction
+    one_entry = schur_homog(Partition([3]), HomogPair((1, -3, 2), (2, Fraction(1), 5)), rows=1)
+    assert one_entry == -6 and type(one_entry) is int
+    x, y, z, w = MultiPoly.variables(4)
+    for pair, kind in (
+        (HomogPair((1, -3), (2, 5)), int),
+        (HomogPair((Fraction(1), Fraction(-3)), (Fraction(2), Fraction(5))), Fraction),
+        (HomogPair((x, y), (z, w)), MultiPoly),
+    ):
+        table = pair.table()
+        assert table[0] == pair.b[0] * pair.b[1] and table[-1] == pair.a[0] * pair.a[1]
+        assert all(type(entry) is kind for entry in table), (pair, table)
+
+
 def test_schur_homog_row_padding_carries_denominator_product():
     pair = HomogPair((Fraction(2), Fraction(3)), (Fraction(5), Fraction(7)))
     lam = Partition([2])

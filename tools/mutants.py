@@ -17,16 +17,37 @@ mtime, so bytecode written for the unmutated copy could otherwise stand in
 for a same-length mutant written within the same second.  Exit 0 when every mutant is killed,
 1 otherwise.  Standard library only; each run of ``VERIFY`` takes under half
 a second on a 2-vCPU host.
+
+    python3 tools/mutants.py --scan
+
+prints the full operator-swap table instead, and is not a CI step (462
+mutants, about 45 s on a 2-vCPU host).  Over ``SCAN_FILES`` it swaps each
+binary ``+``/``-`` and ``*``/``//`` (augmented assignments too), flips each
+comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) and raises each
+``int`` literal by one, runs ``VERIFY`` on each mutant and prints one line
+per mutant:
+``killed`` (exit 1 with the reproduce line), ``error`` (exit 2, an error
+document), ``SURVIVED`` (exit 0), or the exit code or ``timeout``.  Each
+mutant replaces one source span of the original text, found through ``ast``
+positions and ``tokenize``; nothing is re-rendered, so every other byte,
+and every ``MUTANTS`` row text, stays as it is.  Exit 0 unless the
+unmutated source fails.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
+import io
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY = ["-m", "lefdet", "verify", "--dmax", "6", "--trials", "3", "--seed", "1"]
@@ -46,6 +67,13 @@ MUTANTS = [
         "for a_i, b_i in zip(self.a, self.b):",
         "for b_i, a_i in zip(self.a, self.b):",
         "a<->b swap in the E-table: every closed form evaluates b x + a y",
+        OWN,
+    ),
+    (
+        "lefdet/symfunc.py",
+        "table.append(a_i * table[-1])",
+        "table.append(b_i * table[-1])",
+        "E-table's new top entry is b_i, not a_i, times the old top: E_n reads prod b",
         OWN,
     ),
     (
@@ -193,18 +221,137 @@ MUTANTS = [
 ]
 
 
-def run(src: Path, command) -> subprocess.CompletedProcess:
+# the modules the scan mutates, under src/lefdet
+SCAN_FILES = ("ring.py", "symfunc.py", "formulas.py", "linalg.py", "partitions.py")
+SWAPS = {
+    ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "//"), ast.FloorDiv: ("//", "*"),
+    ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
+    ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
+}
+# a mutant that loops or grows without bound is cut off, not waited for
+SCAN_TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    """``text[start:end]`` (the characters ``old`` on line ``line``) becomes ``new``."""
+
+    file: str
+    line: int
+    start: int
+    end: int
+    old: str
+    new: str
+
+    def apply(self, text: str) -> str:
+        return text[: self.start] + self.new + text[self.end :]
+
+
+def scan_mutants(text: str, file: str) -> list[Mutant]:
+    """Every operator-swap and literal mutant of one module's source, in source order."""
+    lines = text.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+
+    def offset(lineno: int, byte_col: int) -> int:
+        # ast columns count UTF-8 bytes; offsets into ``text`` count characters
+        return starts[lineno - 1] + len(lines[lineno - 1].encode()[:byte_col].decode())
+
+    ops = [  # (offset, line, symbol) of every operator token
+        (starts[tok.start[0] - 1] + tok.start[1], tok.start[0], tok.string)
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+        if tok.type == tokenize.OP
+    ]
+
+    def operator_after(node: ast.AST, op: ast.AST, suffix: str = "") -> Mutant:
+        # the operator is the first token after its left operand, past any ")"
+        old, new = (symbol + suffix for symbol in SWAPS[type(op)])
+        after = offset(node.end_lineno, node.end_col_offset)
+        at, line, symbol = next((at, line, s) for at, line, s in ops if at >= after and s != ")")
+        if symbol != old:
+            raise ValueError(f"{file}:{line}: expected {old!r}, found {symbol!r}")
+        return Mutant(file, line, at, at + len(old), old, new)
+
+    def code_nodes(tree: ast.AST):
+        # f-strings are one token each, and only build messages: skip them
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, ast.JoinedStr):
+                yield node
+                stack.extend(ast.iter_child_nodes(node))
+
+    mutants = []
+    for node in code_nodes(ast.parse(text)):
+        if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
+            mutants.append(operator_after(node.left, node.op))
+        elif isinstance(node, ast.AugAssign) and type(node.op) in SWAPS:
+            mutants.append(operator_after(node.target, node.op, "="))
+        elif isinstance(node, ast.Compare):
+            for left, op in zip([node.left, *node.comparators], node.ops):
+                if type(op) in SWAPS:
+                    mutants.append(operator_after(left, op))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            start = offset(node.lineno, node.col_offset)
+            end = offset(node.end_lineno, node.end_col_offset)
+            mutants.append(
+                Mutant(file, node.lineno, start, end, text[start:end], str(node.value + 1))
+            )
+    return sorted(mutants, key=lambda m: m.start)
+
+
+def run(src: Path, command, timeout=None) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, "-B", *command], env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True,
+        stderr=subprocess.PIPE, text=True, timeout=timeout,
     )
 
 
-def main() -> int:
+def outcome(src: Path) -> str:
+    """How ``VERIFY`` ends on the source under ``src``, in the scan's words."""
+    try:
+        proc = run(src, VERIFY, timeout=SCAN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    if proc.returncode == 1 and "reproduce with:" in proc.stderr:
+        return "killed"
+    return {0: "SURVIVED", 2: "error"}.get(proc.returncode, f"exit {proc.returncode}")
+
+
+def scan(src: Path) -> int:
+    """Print the outcome of every ``scan_mutants`` mutant and a tally."""
+    if outcome(src) != "SURVIVED":
+        print("unmutated source does not pass", file=sys.stderr)
+        return 1
+    tally = Counter()
+    for name in SCAN_FILES:
+        path = src / "lefdet" / name
+        original = path.read_text()
+        for mutant in scan_mutants(original, f"lefdet/{name}"):
+            path.write_text(mutant.apply(original))
+            try:
+                result = outcome(src)
+            finally:
+                path.write_text(original)
+            tally[result] += 1
+            print(f"{result:8} {mutant.file}:{mutant.line}: {mutant.old!r} -> {mutant.new!r}",
+                  flush=True)
+    print(f"{sum(tally.values())} mutants: "
+          + ", ".join(f"{count} {result}" for result, count in sorted(tally.items())))
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scan", action="store_true",
+                        help="print the full operator-swap table instead of running the gate")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if args.scan:
+            return scan(src)
         if any(run(src, command).returncode != 0 for command in SHARED):
             print("unmutated source does not pass", file=sys.stderr)
             return 1
