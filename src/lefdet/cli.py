@@ -20,22 +20,24 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 ``verify``, ``sweep``, ``report`` and ``det --method closed`` also anchor
 every cell (d, q, k, u) they give a verdict on, through ``anchors_hold``,
 which runs ``formulas.degree_anchor`` once per ring degree (d, q, k): at
-d+q-2k copies of ``ANCHOR_FORM`` = 2/3 x - 5/7 y, the direct route, the
+d+q-2k copies of ``ANCHOR_FORM`` = 4/3 x - 10/7 y, the direct route, the
 expansion at u and the closed form must each equal ``det_power``, the
 hook-content product, which takes no determinant, builds no E-table and
 never calls ``scaled_forms``.  Every route of a record reduces through the
 same ``linalg.det`` and the same scaled cell, so a determinant kernel that
 returns 0, or a scaling fault, makes all of them agree on every trial; the
-anchor still sees it.  The form's scale factor is not 1, which ``x + y``'s
-would be.  ``det --method closed`` anchors the closed form's cell, u =
+anchor still sees it.  The form's scale factor (2/21)^((d+q-2k)*dim(R_k))
+has a denominator half and a gcd half that are both not 1; ``x + y``'s
+factor would be 1.  ``det --method closed`` anchors the closed form's cell, u =
 d+q-2k, whose expansion has one term.  ``det --method expansion`` is not
 anchored: its anchor would repeat a large cell's expansion, which cost the
 large-cells benchmark about a fifth more wall time.  An anchor that holds
 adds nothing to stdout.
 
 Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, at any split, or a failed
-anchor, and nothing else, 2 usage error (argparse's own included), an
+determinant and the expansion or closed form, at any split, a failed
+anchor, or ``report`` expansion terms that do not sum to its expansion
+value, and nothing else, 2 usage error (argparse's own included), an
 arithmetic fault (a failed exactness check) or any other exception raised
 inside a subcommand, reported as an error document on stdout with nothing on
 stderr; ``SystemExit`` and ``KeyboardInterrupt`` pass through.  When
@@ -46,7 +48,9 @@ fails, ``summary.mismatches`` stays 0 (it counts trials) and the one line
 names the first failing cell and the ``lefdet verify --d D --q Q --k K --u U
 --trials 1`` command that runs that cell's anchor again, which exits 1 on the
 same fault.  ``report`` and ``det --method closed`` write the same line
-when their cell's anchor fails.
+when their cell's anchor fails.  When the expansion terms that ``report``
+prints do not sum to the ``det_expansion`` it prints, it writes one line
+that ends in its own ``lefdet report`` command and runs no anchor.
 Literal-case audit findings are reported but never change the exit code.
 """
 
@@ -81,7 +85,7 @@ from .symfunc import schur, schur_bialternant, schur_tableaux
 SCHEMA = "lefdet/1"
 # str of an int this size stays inside Python's default 4,300-digit limit
 STR_BITS = 14_000
-RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -100,7 +104,7 @@ SWEEP_COLUMNS = (
 def parse_rational(text: str) -> Fraction:
     """Only ``p`` or ``p/q`` in ASCII digits; ``Fraction`` alone would expand ``1e999999999``."""
     text = text.strip()
-    if not RATIONAL.fullmatch(text):
+    if not RATIONAL_TEXT.fullmatch(text):
         raise ValueError(f"bad rational {text!r}: need p or p/q in ASCII digits")
     try:
         return Fraction(text)
@@ -269,6 +273,14 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
     return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
 
 
+def report_command(d: int, q: int, k: int, u: int, forms) -> str:
+    """The ``lefdet report`` command for one cell, given its forms as ``form_doc`` pairs."""
+    import shlex  # here, not at the top: only a failure line needs it
+
+    text = ";".join(",".join(pair) for pair in forms)
+    return f"lefdet report --d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(text)}"
+
+
 def anchors_hold(cells) -> bool:
     """Whether the anchor holds at every cell (d, q, k, u), in order.
 
@@ -373,14 +385,11 @@ def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
             if row["match"]:
                 continue
             if not mismatches:
-                import shlex  # here, not at the top: only this line needs it
-
                 d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
-                forms = ";".join(",".join(pair) for pair in row["forms"])
                 sys.stderr.write(
                     f"lefdet: first mismatch at (d,q,k,u,trial) = "
-                    f"({d},{q},{k},{u},{row['trial']}); reproduce with: lefdet report "
-                    f"--d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(forms)}\n"
+                    f"({d},{q},{k},{u},{row['trial']}); reproduce with: "
+                    f"{report_command(d, q, k, u, row['forms'])}\n"
                 )
             mismatches += 1
     inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
@@ -529,6 +538,14 @@ def cmd_report(args) -> tuple[dict, bool]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
+    if sum(t.value for t in record.expansion.terms) != record.expansion.value:
+        # the verdicts read only the total; the printed terms must add up to it
+        sys.stderr.write(
+            f"lefdet: the expansion terms at (d,q,k,u) = ({args.d},{args.q},{args.k},{sf.u}) "
+            f"do not sum to det_expansion; reproduce with: "
+            f"{report_command(args.d, args.q, args.k, sf.u, inputs['forms'])}\n"
+        )
+        return body, False
     return body, anchors_hold([(args.d, args.q, args.k, sf.u)]) and record.agrees
 
 

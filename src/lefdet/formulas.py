@@ -249,8 +249,9 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
     return value if isinstance(value, MultiPoly) else Fraction(value)
 
 
-# the anchor's form: two non-integer coefficients, so its scale factor is not 1
-ANCHOR_FORM = LinearForm(Fraction(2, 3), Fraction(-5, 7))
+# the anchor's form: two non-integer coefficients whose scaled numerators
+# (28, -30) share the gcd 2, so both halves of its scale factor are not 1
+ANCHOR_FORM = LinearForm(Fraction(4, 3), Fraction(-10, 7))
 
 
 def degree_anchor(rp: RingParams, k: int, splits) -> list[bool]:

@@ -29,12 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from ._record import Record, set_field
-from .mpoly import MultiPoly, require_exact, require_int, require_rational
-
-# the entry types Bareiss reduces, and those Laplace expands and ``det``
-# returns as a 1x1 determinant; ``type`` tests, so ``bool`` is in neither
-_RATIONAL = frozenset((int, Fraction))
-_EXACT = frozenset((int, Fraction, MultiPoly))
+from .mpoly import EXACT, RATIONAL, MultiPoly, require_exact, require_int, require_rational
 
 
 class ExactMatrix(Record):
@@ -148,7 +143,7 @@ def _det_bareiss(m: ExactMatrix, types) -> int | Fraction:
     """``det_bareiss`` given the set of ``m``'s entry types, which ``det`` has built."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if not _RATIONAL.issuperset(types):
+    if not RATIONAL.issuperset(types):
         require_rational("matrix entry", *m.entries)
     rational = Fraction in types
     n = m.rows
@@ -206,7 +201,7 @@ def det_laplace(m: ExactMatrix):
         raise ValueError("determinant of a non-square matrix")
     entries = m.entries
     types = set(map(type, entries))
-    if not _EXACT.issuperset(types):
+    if not EXACT.issuperset(types):
         require_exact("matrix entry", *entries)
     n = m.rows
     if n == 0:
@@ -249,7 +244,7 @@ def det(m: ExactMatrix):
     route rejects an inexact entry (a ``float`` or a ``bool``, a 1x1 one
     included) anywhere in the matrix with a ``ValueError``.
     """
-    if m.rows == 1 == m.cols and type(m.entries[0]) in _EXACT:
+    if m.rows == 1 == m.cols and type(m.entries[0]) in EXACT:
         return m.entries[0]
     types = set(map(type, m.entries))
     if MultiPoly in types:

@@ -25,8 +25,10 @@ and zero coefficients are never stored.  The ``terms`` property is a
 read-only ``{exponent tuple: Fraction}`` view.
 
 The ``require_*`` helpers below are the package's one exactness rule, called at
-every public entry point.  Types match exactly, so ``bool`` never passes: an
-integer is ``int``, a rational ``int`` or ``Fraction``, a ring element either or ``MultiPoly``.
+every public entry point, and ``RATIONAL`` and ``EXACT`` are its type sets.
+Types match exactly, so ``bool`` never passes: an integer is ``int``, a
+rational ``int`` or ``Fraction`` (``RATIONAL``), a ring element either or
+``MultiPoly`` (``EXACT``).
 ``parse_int`` is the one rule for an integer written as text.
 """
 
@@ -38,6 +40,7 @@ from fractions import Fraction
 
 FIELD = 32
 MAX_EXPONENT = (1 << FIELD) - 1
+RATIONAL = frozenset((int, Fraction))
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -59,14 +62,14 @@ def require_int(what: str, *values) -> None:
 def require_rational(what: str, *values) -> None:
     """Raise ``ValueError`` unless every value is an ``int`` or a ``Fraction``."""
     for v in values:
-        if type(v) is not int and type(v) is not Fraction:
+        if type(v) not in RATIONAL:
             raise ValueError(f"{what} {v!r} is not exact: need int or Fraction")
 
 
 def require_exact(what: str, *values) -> None:
     """Raise ``ValueError`` unless every value is an ``int``, ``Fraction`` or ``MultiPoly``."""
     for v in values:
-        if type(v) not in (int, Fraction, MultiPoly):
+        if type(v) not in EXACT:
             raise ValueError(f"{what} {v!r} is not exact: need int, Fraction or MultiPoly")
 
 
@@ -308,6 +311,9 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.arity}, {self})"
+
+
+EXACT = RATIONAL | {MultiPoly}
 
 
 class TermView(Mapping):

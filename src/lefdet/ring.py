@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from ._record import Record, set_field
 from .linalg import ExactMatrix, det, primitive_part
-from .mpoly import require_exact, require_int
+from .mpoly import RATIONAL, require_exact, require_int
 
 
 class RingParams(Record):
@@ -41,32 +41,6 @@ class RingParams(Record):
         require_int("exponent", d, q)
         if not d >= q >= 1:
             raise ValueError(f"need d >= q >= 1, got d={d}, q={q}")
-        set_field(self, "d", d)
-        set_field(self, "q", q)
-
-    @property
-    def socle(self) -> int:
-        return self.d + self.q
-
-    def swapped(self) -> "SwappedParams":
-        """The (q, d) twin, which is not normalized to d >= q."""
-        return SwappedParams(self.q, self.d)
-
-
-class SwappedParams(Record):
-    """Exponent parameters d, q >= 1 in either order; the socle degree is d + q.
-
-    The transposed determinant identity evaluates a ring with its exponents
-    exchanged; every basis and matrix computation below is valid for any
-    d, q >= 1, so this twin of ``RingParams`` skips only the d >= q check.
-    """
-
-    __slots__ = ("d", "q")
-
-    def __init__(self, d: int, q: int):
-        require_int("exponent", d, q)
-        if not (d >= 1 and q >= 1):
-            raise ValueError(f"need d, q >= 1, got d={d}, q={q}")
         set_field(self, "d", d)
         set_field(self, "q", q)
 
@@ -200,7 +174,7 @@ def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...],
     """
     forms = tuple(forms)
     check_cell(rp, k, len(forms))
-    if not all(isinstance(c, (int, Fraction)) for f in forms for c in (f.a, f.b)):
+    if not all(type(c) in RATIONAL for f in forms for c in (f.a, f.b)):
         return forms, 1
     dens = gcds = 1
     primitive = []

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,7 +52,8 @@ def lattice_walk():
     t0 = time.time()
     for d, q, k, u in lattice_cells(10):
         rp = RingParams(d, q)
-        flipped = rp.swapped()
+        # the (q, d) ring, which RingParams would refuse for q < d
+        flipped = SimpleNamespace(d=q, q=d, socle=d + q)
         n = d + q - 2 * k
         for t in range(TRIALS_PER_CELL):
             rng = cell_rng(SEED, d, q, k, u, t)

@@ -15,6 +15,7 @@ from lefdet.cli import (
     parse_values,
     random_form,
 )
+from lefdet.formulas import CellRecord, Expansion, ExpansionTerm
 from lefdet.ring import LinearForm, RingParams, det_direct
 
 
@@ -597,6 +598,45 @@ def test_report_anchor_catches_a_scaling_fault_that_every_route_shares(capsys, i
 def test_report_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
     assert main(REPORT_ARGV) == 0
     assert capsys.readouterr().err == ""
+
+
+# a cell whose scale factor is not 1, with terms that are not integers
+REPORT_TERMS_ARGV = ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
+                     "--forms=2/3,1;1,3;-5/2,7"]
+
+
+def test_report_exits_1_when_its_printed_terms_miss_its_printed_total(capsys, monkeypatch):
+    # no verdict reads the terms, so report checks that they add up to its total
+    import lefdet.cli as cli
+
+    assert main(REPORT_TERMS_ARGV) == 0
+    agreeing = capsys.readouterr()
+    assert agreeing.err == ""
+    exact = cli.discrepancy_report
+
+    def one_wrong_term(rp, k, sf):
+        record = exact(rp, k, sf)
+        first, *rest = record.expansion.terms
+        wrong = ExpansionTerm(first.delta, first.lam, first.nu, first.value + 1)
+        expansion = Expansion(record.expansion.value, (wrong, *rest))
+        return CellRecord(rp, k, sf, record.direct, expansion, record.closed,
+                          record.literal, record.literal_error)
+
+    monkeypatch.setattr(cli, "discrepancy_report", one_wrong_term)
+    monkeypatch.setattr(cli, "anchors_hold", lambda cells: pytest.fail("anchor ran"))
+    assert main(REPORT_TERMS_ARGV) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "(d,q,k,u) = (3,2,1,2)" in lines[0]
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
+    assert command == ["lefdet", *REPORT_TERMS_ARGV]
+    # stdout is the document as before, with the one wrong term in it
+    doc, expected = json.loads(captured.out), json.loads(agreeing.out)
+    first = expected["expansion_terms"][0]
+    first["value"] = fmt(Fraction(first["value"]) + 1)
+    assert doc == expected
+    assert main(command[1:]) == 1
+    assert capsys.readouterr().err == captured.err
 
 
 DET_CLOSED_ARGV = ["det", "--d", "2", "--q", "2", "--k", "1", "--method", "closed",

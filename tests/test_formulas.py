@@ -25,7 +25,7 @@ from lefdet.formulas import (
 )
 from lefdet.mpoly import MultiPoly
 from lefdet.partitions import Partition, enumerate_in_rectangle, rectangle
-from lefdet.linalg import det_mod
+from lefdet.linalg import det_mod, primitive_part
 from lefdet.ring import LinearForm, RingParams, det_direct, dim, mult_matrix_block, scaled_forms
 from lefdet.symfunc import schur, schur_homog, schur_jacobi_trudi
 
@@ -126,6 +126,12 @@ def test_expansion_example_symbolic_4_2():
     assert len(got.terms) == 1
     assert got.terms[0].lam == Partition([1, 1, 1])
     assert got.terms[0].nu == Partition()
+
+
+def test_symbolic_forms_rejects_a_negative_count():
+    assert symbolic_forms(0) == ([], [])
+    with pytest.raises(ValueError, match="form count -1 is negative"):
+        symbolic_forms(-1)
 
 
 def test_expansion_split_size_validation():
@@ -606,6 +612,9 @@ def test_duality_validation():
         duality_check(1, 1, (1, 0), (1, 1))
     with pytest.raises(ValueError):
         duality_check(1, 2, (1, 1), (1, 1))
+    for r, m in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match=r"need r >= 1 and m >= 1"):
+            duality_check(r, m, (1, 1), (1, 1))
 
 
 def test_complement_identity_example():
@@ -631,6 +640,9 @@ def test_complement_identity_validation():
         complement_identity_check(Partition([3]), 2, 2, (1, 1), (1, 1))
     with pytest.raises(ValueError):
         complement_identity_check(Partition([1]), 2, 2, (0, 1), (1, 1))
+    for r, n in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match=r"need r >= 1 and n >= 1"):
+            complement_identity_check(Partition(), r, n, (1, 1), (1, 1))
 
 
 # --- discrepancy report ------------------------------------------------------
@@ -677,8 +689,9 @@ def test_one_report_scales_its_cell_once(monkeypatch):
 def test_degree_anchor_is_true_at_every_split_of_every_cell_and_builds_no_audit(monkeypatch):
     import lefdet.formulas as formulas
 
-    # a scale factor of 1 would hide a scaling fault
+    # a scale factor of 1, or a gcd half of 1, would hide a scaling fault
     assert scaled_forms(RingParams(1, 1), 0, [ANCHOR_FORM] * 2)[1] != 1
+    assert primitive_part((ANCHOR_FORM.a, ANCHOR_FORM.b))[1] > 1
     monkeypatch.setattr(formulas, "_literal_cases_scaled", lambda *a: pytest.fail("audit built"))
     for d, q in [(1, 1), (2, 1), (3, 2), (4, 4), (5, 2)]:
         rp = RingParams(d, q)

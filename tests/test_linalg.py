@@ -65,6 +65,13 @@ def test_matrix_is_frozen():
     assert m == ExactMatrix(2, 2, [1, 0, 0, 1]) and hash(m) == hash(ExactMatrix.identity(2))
 
 
+def test_from_rows_rejects_ragged_rows():
+    assert ExactMatrix.from_rows([]) == ExactMatrix(0, 0, [])
+    for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            ExactMatrix.from_rows(rows)
+
+
 def test_row_rejects_an_index_outside_the_matrix():
     m = ExactMatrix(2, 2, [1, 2, 3, 4])
     assert m.row(0) == (1, 2) and m.row(1) == (3, 4)

@@ -49,6 +49,8 @@ def test_arity_validation():
         P(2, {(1, -1): 1})
     with pytest.raises(ValueError):
         P(2, {(1, 0): 1}) + P(3, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="arity must be nonnegative"):
+        MultiPoly(-1)
 
 
 def test_add_examples():
@@ -100,6 +102,16 @@ def test_render_deterministic():
     assert render(p) == "2*x0^2*x1 - x1 + 1/3"
     assert render(p, ["a", "b"]) == "2*a^2*b - b + 1/3"
     assert render(MultiPoly(2)) == "0"
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="one name per variable is required"):
+            render(p, names)
+
+
+def test_negative_powers_are_rejected():
+    x = MultiPoly.variable(1, 0)
+    assert x**0 == 1
+    with pytest.raises(ValueError, match="negative powers are not defined"):
+        x**-1
 
 
 @given(polys(), polys(), polys())

@@ -38,12 +38,18 @@ def test_every_shared_fault_row_also_runs_report():
         "scale factor raised to dim(R_k) - 1 instead of dim(R_k)",
         "scale factor inverted: multiplies by the scaling instead of undoing it",
         "primitive_part drops the denominator scaling: (1/2, 1/3) reads as (1, 1) / 6",
+        "scale factor's gcd half divides by each form's gcd instead of multiplying",
         "Bareiss returns 0 on any nonzero row",
         "Bareiss runs past the last column, which finds no pivot: 0",
         "Bareiss returns an entry its elimination has zeroed",
         "ExactMatrix.row starts each row at entry r // cols",
     }
-    assert all(commands in (mutants.OWN, mutants.SHARED) for *_, commands in mutants.MUTANTS)
+    assert all(
+        commands in (mutants.OWN, mutants.SHARED, mutants.TERMS) for *_, commands in mutants.MUTANTS
+    )
+    assert mutants.TERMS == (mutants.REPORT_TERMS,)
+    assert mutants.REPORT_TERMS[2:] == ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
+                                        "--forms=2/3,1;1,3;-5/2,7"]
     assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT, mutants.DET_CLOSED)
     assert mutants.REPORT[2:] == ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1",
                                   "--forms", "2,1;1,3"]

@@ -82,6 +82,8 @@ def test_padded_fills_with_zeros_up_to_the_length():
     assert Partition((3, 1)).padded(4) == (3, 1, 0, 0)
     assert Partition((3, 1)).padded(2) == (3, 1)
     assert Partition().padded(3) == (0, 0, 0)
+    with pytest.raises(ValueError, match=r"cannot pad \[3,1\] to length 1"):
+        Partition((3, 1)).padded(1)
 
 
 def test_conjugate_empty():
@@ -121,6 +123,9 @@ def test_complement_containment_violation():
         Partition([3]).complement(2, 2)
     with pytest.raises(ValueError):
         Partition([1, 1, 1]).complement(2, 2)
+    for r, l in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="rectangle sides must be nonnegative"):
+            Partition().complement(r, l)
 
 
 def test_complement_involution_and_weight():
@@ -174,6 +179,9 @@ def test_enumerate_order_descending_lex():
 def test_enumerate_degenerate_boxes():
     assert enumerate_in_rectangle(0, 3) == [Partition()]
     assert enumerate_in_rectangle(4, 0) == [Partition()]
+    for r, l in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="rectangle sides must be nonnegative"):
+            enumerate_in_rectangle(r, l)
 
 
 def test_enumerate_counts_binomial():

@@ -1,4 +1,4 @@
-"""The record contract of the package's fifteen frozen value types.
+"""The record contract of the package's fourteen frozen value types.
 
 Each type is a record of named fields: equal fields give equal values and
 equal hashes, values of different types never compare equal, fields cannot be
@@ -6,7 +6,7 @@ assigned or deleted, ``repr`` spells the fields out (``Partition`` and
 ``ExactMatrix`` keep their own short forms), keyword construction works, and
 ``pickle`` and ``copy`` rebuild an equal value.  The eight plain records
 take their constructor from the base and bind arguments as a Python
-signature would; the seven that validate keep their own.
+signature would; the six that validate keep their own.
 """
 
 import copy
@@ -28,7 +28,7 @@ from lefdet.formulas import (
 )
 from lefdet.linalg import CauchyBinetResult, ExactMatrix
 from lefdet.partitions import Partition
-from lefdet.ring import LinearForm, RingParams, SwappedParams
+from lefdet.ring import LinearForm, RingParams
 from lefdet.symfunc import HomogPair
 
 FORM = LinearForm(Fraction(1, 2), -3)
@@ -39,7 +39,6 @@ SPLIT = SplitForms.split([LinearForm(1, 2), LinearForm(3, -1)], 1)
 # type -> (field names in order, keyword arguments of one value, its repr)
 RECORDS = {
     RingParams: (("d", "q"), dict(d=3, q=1), "RingParams(d=3, q=1)"),
-    SwappedParams: (("d", "q"), dict(d=1, q=3), "SwappedParams(d=1, q=3)"),
     LinearForm: (("a", "b"), dict(a=Fraction(1, 2), b=-3), "LinearForm(a=Fraction(1, 2), b=-3)"),
     Partition: (("parts",), dict(parts=(3, 1)), "Partition([3, 1])"),
     HomogPair: (("a", "b"), dict(a=(1, 2), b=(3, 4)), "HomogPair(a=(1, 2), b=(3, 4))"),
@@ -120,8 +119,8 @@ def field_tuple(value, fields):
     return tuple(getattr(value, name) for name in fields)
 
 
-def test_all_fifteen_types_are_covered():
-    assert len(RECORDS) == 15
+def test_all_fourteen_types_are_covered():
+    assert len(RECORDS) == 14
 
 
 @CASES
@@ -137,7 +136,6 @@ def test_keyword_and_positional_construction_agree(cls):
 # one value of each type that differs from RECORDS' value in one field
 OTHERS = {
     RingParams: RingParams(3, 2),
-    SwappedParams: SwappedParams(2, 3),
     LinearForm: LinearForm(1, -3),
     Partition: Partition((3,)),
     HomogPair: HomogPair((1, 2), (3, 5)),
@@ -161,9 +159,10 @@ def test_a_different_field_gives_a_different_value(cls):
 
 
 def test_types_with_the_same_fields_never_compare_equal():
-    assert RingParams(2, 2) != SwappedParams(2, 2)
-    assert not (RingParams(2, 2) == SwappedParams(2, 2))
-    assert RingParams(2, 2).__eq__(SwappedParams(2, 2)) is NotImplemented
+    # equal field tuples, (2, 2), in two record types
+    assert RingParams(2, 2) != LinearForm(2, 2)
+    assert not (RingParams(2, 2) == LinearForm(2, 2))
+    assert RingParams(2, 2).__eq__(LinearForm(2, 2)) is NotImplemented
     assert LinearForm(1, 2) != (1, 2) and HomogPair((1,), (2,)) != ((1,), (2,))
     assert Partition((3, 1)) != (3, 1)
 
@@ -221,7 +220,6 @@ def test_construction_still_validates():
     for bad in (
         lambda: RingParams(1, 2),
         lambda: RingParams(2, True),
-        lambda: SwappedParams(0, 2),
         lambda: LinearForm(0, 0),
         lambda: LinearForm(0.5, 1),
         lambda: Partition((1, 2)),
@@ -245,7 +243,7 @@ PLAIN = [
     CellRecord,
     CauchyBinetResult,
 ]
-VALIDATING = [RingParams, SwappedParams, LinearForm, Partition, HomogPair, ExactMatrix, SplitForms]
+VALIDATING = [RingParams, LinearForm, Partition, HomogPair, ExactMatrix, SplitForms]
 
 
 def test_every_type_is_plain_or_validating():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,6 @@ from lefdet.mpoly import MultiPoly
 from lefdet.ring import (
     LinearForm,
     RingParams,
-    SwappedParams,
     basis,
     det_direct,
     dim,
@@ -61,28 +61,12 @@ def test_ring_params_validation():
         RingParams(1, 0)
 
 
-def test_swapped_twin_bypasses_normalization():
-    swapped = RingParams(3, 1).swapped()
-    assert (swapped.d, swapped.q) == (1, 3)
-    assert dim(swapped, 2) == 2
-
-
-def test_swapped_twin_is_its_own_type():
-    swapped = RingParams(3, 1).swapped()
-    assert type(swapped) is SwappedParams and swapped.socle == 4
-    assert swapped == SwappedParams(1, 3) and swapped != RingParams(3, 1)
-    for d, q in ((0, 3), (3, 0)):
-        with pytest.raises(ValueError):
-            SwappedParams(d, q)
-
-
 def test_exponents_must_be_ints():
     # inexact or non-integral degrees are rejected at the boundary; bool is an
     # int subclass, so it needs a case of its own
     for d, q in ((2.0, 1), (2, 1.0), (Fraction(2), 1), (True, True), (2, True)):
-        for params in (RingParams, SwappedParams):
-            with pytest.raises(ValueError, match="not an int"):
-                params(d, q)
+        with pytest.raises(ValueError, match="not an int"):
+            RingParams(d, q)
 
 
 def test_linear_form_must_be_nonzero():
@@ -280,8 +264,10 @@ def test_transposition_symmetry():
         rp = RingParams(d, q)
         k = rng.randint(0, (d + q) // 2)
         forms = random_forms(rng, d + q - 2 * k)
+        # RingParams fixes d >= q; the functions below read only d, q and socle
+        flipped = SimpleNamespace(d=q, q=d, socle=d + q)
         swapped_forms = [LinearForm(f.b, f.a) for f in forms]
-        assert det_direct(rp, k, forms) == det_direct(rp.swapped(), k, swapped_forms)
+        assert det_direct(rp, k, forms) == det_direct(flipped, k, swapped_forms)
 
 
 # --- strong Lefschetz scan ---------------------------------------------------

@@ -1,15 +1,18 @@
-"""Mutation gate: every listed mutant must make ``lefdet verify`` fail.
+"""Mutation gate: every listed mutant must make its ``lefdet`` commands fail.
 
     python3 tools/mutants.py
 
-Copies ``src`` to a temporary directory and runs ``VERIFY`` there, first on
-the unmutated copy, which must exit 0, then once per row of ``MUTANTS`` with
-that row's edit applied, which must exit 1 and name the reproduce command on
-stderr.  A row marked ``SHARED`` breaks what every route of a record shares
-(the determinant kernel or the scale factor), so only an anchor can see it;
-the gate also runs ``REPORT`` and ``DET_CLOSED`` on it, each of which runs
-its one cell's full anchor, as ``VERIFY`` does for each of its cells, and
-must fail the same way; on the unmutated copy they must exit 0.  A row's ``old``
+Copies ``src`` to a temporary directory and runs each gate command there on
+the unmutated copy, where each must exit 0.  Then, once per row of
+``MUTANTS`` with that row's edit applied, it runs the row's commands, each of
+which must exit 1 and name the reproduce command on stderr.  Most rows run
+``VERIFY`` alone (``OWN``).  A row marked ``SHARED`` breaks what every route
+of a record shares (the determinant kernel or the scale factor), so only an
+anchor can see it; the gate also runs ``REPORT`` and ``DET_CLOSED`` on it,
+each of which runs its one cell's full anchor, as ``VERIFY`` does for each
+of its cells.  A row marked ``TERMS`` breaks only the expansion terms that
+``report`` prints, which no verdict reads; it runs ``REPORT_TERMS``, whose
+terms must sum to its total.  A row's ``old``
 text must occur exactly once in its file, so a row that no longer matches
 the source fails loudly instead of testing nothing.  Children run with
 ``-B``: a cached ``.pyc`` is keyed on the source's size and whole-second
@@ -55,10 +58,14 @@ REPORT = ["-m", "lefdet", "report", "--d", "2", "--q", "2", "--k", "1", "--u", "
           "--forms", "2,1;1,3"]
 DET_CLOSED = ["-m", "lefdet", "det", "--d", "2", "--q", "2", "--k", "1", "--method", "closed",
               "--forms", "2,1;1,3"]
+# a cell whose scale factor is not 1, so a fault in the printed terms' scaling shows
+REPORT_TERMS = ["-m", "lefdet", "report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
+                "--forms=2/3,1;1,3;-5/2,7"]
 
 # the commands a row must make exit 1 with the reproduce line
 OWN = (VERIFY,)
 SHARED = (VERIFY, REPORT, DET_CLOSED)
+TERMS = (REPORT_TERMS,)
 
 # (file under src, old text, new text, what the mutant breaks, commands)
 MUTANTS = [
@@ -173,6 +180,20 @@ MUTANTS = [
         "return pair",
         "hat group keeps the check group's roles: no a<->b swap",
         OWN,
+    ),
+    (
+        "lefdet/ring.py",
+        "gcds *= g",
+        "gcds //= g",
+        "scale factor's gcd half divides by each form's gcd instead of multiplying",
+        SHARED,
+    ),
+    (
+        "lefdet/formulas.py",
+        "t.value * factor",
+        "t.value // factor",
+        "the record's expansion terms floor-divide by the scale factor: only report prints them",
+        TERMS,
     ),
     (
         "lefdet/linalg.py",
@@ -352,7 +373,7 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         if args.scan:
             return scan(src)
-        if any(run(src, command).returncode != 0 for command in SHARED):
+        if any(run(src, command).returncode != 0 for command in (*SHARED, REPORT_TERMS)):
             print("unmutated source does not pass", file=sys.stderr)
             return 1
         survivors = 0
