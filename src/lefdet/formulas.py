@@ -17,22 +17,19 @@ coefficients alike.
 product, the u = d+q-2k degeneration of the expansion.  The determinant does
 not depend on how the forms are split, so the closed form applies at every u.
 
-The closed form and the literal audit, like ``det_direct``, evaluate on the
-forms of ``ring.scaled_forms`` and multiply by its one factor; its docstring
-says why one factor serves every route.  Rational forms thus run in ``int``.
-``scaled_forms`` also applies the cell rule, so it is the one gate through
-which those three routes enter a cell: each public route is the gate plus a
-private evaluator of the gate's forms and factor.  ``discrepancy_report``
-calls the gate once per trial and passes its result to all three evaluators
-and to ``det_schur_expansion``, whose terms and total it multiplies by the
-factor (each term, like the total, is homogeneous of degree dim R_k in
-every form), so a record scales its cell once and runs every route in
-``int``.  ``det_schur_expansion`` itself evaluates each term on the forms
-as given, and so does ``det_power``; both call ``check_cell``.  The gate
-returns ``MultiPoly`` forms unchanged with the factor 1, so the symbolic
-identity still checks each term's Schur values.
+Every route here, like ``ring.det_direct``, applies ``check_cell`` and
+evaluates the forms it is given, so each returns what ``linalg.det`` would:
+an ``int`` on ``int`` forms, a ``Fraction`` once a coefficient is one, a
+``MultiPoly`` on symbolic forms.  Only ``discrepancy_report`` and
+``degree_anchor`` scale: each calls ``ring.scaled_forms`` once, runs the
+routes on its primitive integer forms and multiplies every value (each
+expansion term and audit case included) by its one factor; its docstring
+says why one factor serves every route, terms and cases too, since each is
+homogeneous of degree dim R_k in every form.  So a record runs every route
+in ``int``.  ``scaled_forms`` returns ``MultiPoly`` forms unchanged with the
+factor 1, so the symbolic identity still checks each term's Schur values.
 
-Every verdict route of a record shares the gate's scaling and
+Every verdict route of a record shares the record's scaling and
 ``linalg.det``, so a fault in either can make them all agree.  ``det_power``
 shares neither: ``degree_anchor`` checks the direct route, the expansion and
 the closed form at n copies of ``ANCHOR_FORM``, a form with non-integer
@@ -81,14 +78,7 @@ from ._record import Record, set_field
 from .linalg import det
 from .mpoly import MultiPoly, require_int, require_rational
 from .partitions import Partition, rectangle
-from .ring import (
-    LinearForm,
-    RingParams,
-    _det_direct_scaled,
-    check_cell,
-    dim,
-    scaled_forms,
-)
+from .ring import LinearForm, RingParams, check_cell, det_direct, dim, scaled_forms
 from .symfunc import HomogPair, e_matrix, schur, schur_homog
 
 
@@ -202,16 +192,12 @@ def det_closed_form(rp: RingParams, k: int, forms):
 
     For k <= q the rectangle is (d-k) wide and k+1 tall; for k >= q it is
     (d+q-2k) wide and q+1 tall.  Division-free, so it matches ``det_direct``
-    on every input, zero coefficients included.  Evaluated on
-    ``scaled_forms``' forms, times its factor.
+    on every input, zero coefficients included.
     """
-    return _closed_form_scaled(rp, k, *scaled_forms(rp, k, forms))
-
-
-def _closed_form_scaled(rp: RingParams, k: int, scaled, factor):
-    """``det_closed_form``'s value from the forms and factor of ``scaled_forms``."""
+    forms = tuple(forms)
+    check_cell(rp, k, len(forms))
     width, height = _rectangle_sides(rp, k)
-    return schur_homog(rectangle(width, height), form_pair(scaled), rows=height) * factor
+    return schur_homog(rectangle(width, height), form_pair(forms), rows=height)
 
 
 def _rectangle_tableaux(n: int, rows: int, length: int) -> int:
@@ -237,16 +223,16 @@ def det_power(rp: RingParams, k: int, form: LinearForm):
     rectangle, n-W rows of length H, has the same count, so the product runs
     over min(W, n-W) rows.  Every hook-content factor is positive, so N > 0
     and the determinant is zero exactly when a = 0 with W > 0 or b = 0 with
-    n > W.  Division-free in a and b, so it serves symbolic coefficients too;
-    like ``det_direct`` it returns a ``Fraction`` for rational forms.
+    n > W.  Division-free in a and b, so it serves symbolic coefficients too.
+    Like ``det_direct`` it returns an ``int`` for an ``int`` form and a
+    ``Fraction`` once a coefficient is one.
     """
     require_int("degree", k)
     n = rp.socle - 2 * k
     check_cell(rp, k, n)
     width, height = _rectangle_sides(rp, k)
     tableaux = _rectangle_tableaux(n, min(width, n - width), height)
-    value = form.a ** (width * height) * form.b ** ((n - width) * height) * tableaux
-    return value if isinstance(value, MultiPoly) else Fraction(value)
+    return form.a ** (width * height) * form.b ** ((n - width) * height) * tableaux
 
 
 # the anchor's form: two non-integer coefficients whose scaled numerators
@@ -259,9 +245,9 @@ def degree_anchor(rp: RingParams, k: int, splits) -> list[bool]:
     one verdict per split point u in ``splits``, in order.
 
     n = d+q-2k.  One ``scaled_forms`` call scales the copies; the direct
-    route, the closed form and the expansion at u (the public
-    ``det_schur_expansion`` on the split of the scaled copies, times the
-    factor) must each equal ``det_power``, which takes no determinant,
+    route, the closed form and the expansion at u, each on the scaled copies
+    (split at u for the expansion) and times the factor, must each equal
+    ``det_power`` on the unscaled form, which takes no determinant,
     builds no E-table and never calls ``scaled_forms``.  So a fault that
     every route shares, such as a determinant kernel that returns 0 or a
     wrong scale factor, fails the anchor even where the routes still agree
@@ -272,8 +258,8 @@ def degree_anchor(rp: RingParams, k: int, splits) -> list[bool]:
     expected = det_power(rp, k, ANCHOR_FORM)
     scaled, factor = scaled_forms(rp, k, (ANCHOR_FORM,) * (rp.socle - 2 * k))
     unsplit = (
-        _det_direct_scaled(rp, k, scaled, factor) == expected
-        and _closed_form_scaled(rp, k, scaled, factor) == expected
+        det_direct(rp, k, scaled) * factor == expected
+        and det_closed_form(rp, k, scaled) * factor == expected
     )
     return [
         unsplit
@@ -332,35 +318,25 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     lam_0 > d gives the row d - lam_0 - j < 0 of Q, all zero, so the skipped
     summands contribute nothing and number C(width+r, r) - C(min(width, d)+r, r).
 
-    Each case is evaluated on the split of ``scaled_forms``' forms, times its
-    factor.
-
     The returned values are NOT ground truth: only the fully-checked trivial
     split (hat empty, case 1 or the closed form) matches ``det_direct`` in
     general.  Compare via ``discrepancy_report``.
     """
-    scaled, factor = scaled_forms(rp, k, sf.all_forms)
-    return _literal_cases_scaled(rp, k, SplitForms.split(scaled, sf.u), factor)
-
-
-def _literal_cases_scaled(rp: RingParams, k: int, evaluated: SplitForms, factor):
-    """``det_literal_cases``' cases from the split of ``scaled_forms``' forms
-    and its factor.  Scaling keeps every zero coefficient, so the precondition
-    reads the same on either split."""
+    check_cell(rp, k, len(sf.all_forms))
     d, q = rp.d, rp.q
-    u = evaluated.u
-    v = len(evaluated.hat)
-    if any(f.b == 0 for f in evaluated.check) or any(f.a == 0 for f in evaluated.hat):
+    u = sf.u
+    v = len(sf.hat)
+    if any(f.b == 0 for f in sf.check) or any(f.a == 0 for f in sf.hat):
         raise LiteralCaseUndefined("literal case formula undefined: a group product vanishes")
-    check_pair = evaluated.check_pair()
-    hat_pair = evaluated.hat_pair()
+    check_pair = sf.check_pair()
+    hat_pair = sf.hat_pair()
     cases = []
 
     if q <= k:
         value = schur_homog(rectangle(u, q + 1), check_pair, rows=q + 1) * schur_homog(
             rectangle(v, q + 1), hat_pair, rows=q + 1
         )
-        cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value * factor, 0))
+        cases.append(LiteralCase(1, "q <= k <= (q+d)/2", value, 0))
 
     if q < k:
         return cases  # cases 2-4 all need k <= q
@@ -372,7 +348,7 @@ def _literal_cases_scaled(rp: RingParams, k: int, evaluated: SplitForms, factor)
         pt = e_matrix(first, [range(j - k, j - k + w) for j in range(r)])
         qm = e_matrix(second, [range(d + k - c, d + k - c - r, -1) for c in range(w)])
         skipped = comb(width + r, r) - comb(min(width, d) + r, r)
-        return det(pt @ qm) * factor, skipped
+        return det(pt @ qm), skipped
 
     if k + u <= q:
         cases.append(LiteralCase(2, "0 <= k <= k+u <= q", *box_sum(u, check_table, hat_table)))
@@ -458,25 +434,26 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     unsplit product, which the split does not change.  ``literal_error`` is
     set only by ``LiteralCaseUndefined``; any other error propagates.
 
-    The cell is scaled once: the direct route, the closed form, the audit
-    and the expansion take ``scaled_forms``' forms and factor from this one
-    call, and each returns what its public function returns on the same
-    forms.  The expansion is the public ``det_schur_expansion`` on the split
-    of the scaled forms, with each term's value and the total multiplied by
-    the factor; a term has the total's degree dim(R_k) in every form, so
-    this is exact, and the terms are those of the public route on the split
-    as given, in order.
+    The cell is scaled once: one ``scaled_forms`` call gives the forms every
+    route runs on and the factor that multiplies every value it returns,
+    each expansion term and audit case included.  A term or a case has the
+    total's degree dim(R_k) in every form, so this is exact, and each value
+    equals what its public route returns on the forms as given.  Scaling
+    keeps every zero coefficient, so the audit's precondition reads the same
+    on the scaled split.
     """
     scaled, factor = scaled_forms(rp, k, sf.all_forms)
     evaluated = SplitForms.split(scaled, sf.u)
-    direct = _det_direct_scaled(rp, k, scaled, factor)
+    direct = det_direct(rp, k, scaled) * factor
     scaled_expansion = det_schur_expansion(rp, k, evaluated)
     terms = tuple(ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
                   for t in scaled_expansion.terms)
     expansion = Expansion(scaled_expansion.value * factor, terms)
-    closed = _closed_form_scaled(rp, k, scaled, factor)
+    closed = det_closed_form(rp, k, scaled) * factor
     try:
-        literal, literal_error = tuple(_literal_cases_scaled(rp, k, evaluated, factor)), None
+        literal = tuple(LiteralCase(c.case_id, c.condition, c.value * factor, c.skipped_terms)
+                        for c in det_literal_cases(rp, k, evaluated))
+        literal_error = None
     except LiteralCaseUndefined as exc:
         literal, literal_error = (), str(exc)
     return CellRecord(rp, k, sf, direct, expansion, closed, literal, literal_error)

@@ -136,13 +136,9 @@ def det_bareiss(m: ExactMatrix) -> int | Fraction:
     empty matrix) and a ``Fraction`` when some entry is a ``Fraction``,
     whatever the values: ``Fraction(4)`` alone gives ``Fraction(4)``.
     """
-    return _det_bareiss(m, set(map(type, m.entries)))
-
-
-def _det_bareiss(m: ExactMatrix, types) -> int | Fraction:
-    """``det_bareiss`` given the set of ``m``'s entry types, which ``det`` has built."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
+    types = set(map(type, m.entries))
     if not RATIONAL.issuperset(types):
         require_rational("matrix entry", *m.entries)
     rational = Fraction in types
@@ -239,17 +235,16 @@ def det(m: ExactMatrix):
 
     A 1x1 matrix whose entry is an ``int``, a ``Fraction`` or a
     ``MultiPoly`` is its entry, with no set-up: the value and type its
-    route returns.  Any other matrix is only dispatched, on the set of
-    entry types, which ``det`` builds once and hands to Bareiss: the chosen
-    route rejects an inexact entry (a ``float`` or a ``bool``, a 1x1 one
-    included) anywhere in the matrix with a ``ValueError``.
+    route returns.  Any other matrix is only dispatched, on whether some
+    entry is a ``MultiPoly``: the chosen route rejects an inexact entry (a
+    ``float`` or a ``bool``, a 1x1 one included) anywhere in the matrix with
+    a ``ValueError``.
     """
     if m.rows == 1 == m.cols and type(m.entries[0]) in EXACT:
         return m.entries[0]
-    types = set(map(type, m.entries))
-    if MultiPoly in types:
+    if MultiPoly in set(map(type, m.entries)):
         return det_laplace(m)
-    return _det_bareiss(m, types)
+    return det_bareiss(m)
 
 
 def det_mod(m: ExactMatrix, p: int) -> int:

@@ -12,15 +12,14 @@ d or whose y-exponent exceeds q is dead and stays dead under further
 multiplication by linear forms, so the one-shot product matrix equals the
 ordered product of the single-form matrices.
 
-``scaled_forms`` is the package's one gate into a cell: it applies the cell
-rule of ``check_cell``, takes rational forms to primitive integer pairs with
-``linalg.primitive_part``, and owns the one factor that undoes it (its docstring states
-the degree fact behind that factor).  Each public integer route is that gate
-plus a private evaluator of its forms and factor: ``det_direct`` here, whose
-evaluator builds and reduces its matrix in ``int``, and the closed form and
-the literal audit in ``formulas``.  ``formulas.discrepancy_report`` calls
-the gate once per trial and hands its result to all three evaluators and to
-the expansion.
+``scaled_forms`` takes rational forms to primitive integer pairs with
+``linalg.primitive_part`` and returns the one factor that undoes it (its
+docstring states the degree fact behind that factor).  Every determinant
+route, ``det_direct`` here and the expansion, the closed form, the audit and
+``det_power`` in ``formulas``, applies the cell rule of ``check_cell`` and
+evaluates the forms it is given.  Only ``formulas.discrepancy_report`` and
+``formulas.degree_anchor`` scale: each calls ``scaled_forms`` once, runs the
+routes on its integer forms and multiplies their values by the factor.
 """
 
 from __future__ import annotations
@@ -157,8 +156,7 @@ def scaled_forms(rp: RingParams, k: int, forms) -> tuple[tuple[LinearForm, ...],
     """The forms to evaluate a cell on, with the one factor that undoes the scaling.
 
     The forms must make a cell on degree k: ``check_cell`` raises its
-    ``ValueError`` otherwise, so this is the one gate into a cell for every
-    route that evaluates on the returned forms.
+    ``ValueError`` otherwise.
 
     Multiplication by l_1 ... l_(d+q-2k) on R_k has a determinant that is
     homogeneous of degree dim(R_k) in each pair (a_t, b_t), and so is every
@@ -191,13 +189,10 @@ def det_direct(rp: RingParams, k: int, forms):
     """Brute-force determinant of multiplication by d+q-2k linear forms on degree k.
 
     This is the artifact-wide ground truth; dimension symmetry makes the map
-    square exactly when the number of forms is d+q-2k.  The matrix is built on
-    ``scaled_forms``' forms, so rational input is reduced in ``int`` only and
-    returns a ``Fraction``.
+    square exactly when the number of forms is d+q-2k, and ``check_cell``
+    rejects any other count.  The block is built on the forms as given and
+    reduced by ``linalg.det``, so its value has that function's type.
     """
-    return _det_direct_scaled(rp, k, *scaled_forms(rp, k, forms))
-
-
-def _det_direct_scaled(rp: RingParams, k: int, scaled, factor):
-    """``det_direct``'s value from the forms and factor of ``scaled_forms``."""
-    return det(mult_matrix_block(rp, scaled, k)) * factor
+    forms = tuple(forms)
+    check_cell(rp, k, len(forms))
+    return det(mult_matrix_block(rp, forms, k))

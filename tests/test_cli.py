@@ -398,9 +398,7 @@ def test_verify_rejects_out_of_range_k(capsys):
 def test_verify_exits_1_when_a_route_disagrees(capsys, monkeypatch):
     import lefdet.formulas as formulas
 
-    monkeypatch.setattr(
-        formulas, "_closed_form_scaled", lambda rp, k, scaled, factor: Fraction(10**9)
-    )
+    monkeypatch.setattr(formulas, "det_closed_form", lambda rp, k, forms: Fraction(10**9))
     code, doc = run_json(
         capsys, "verify", "--d", "1", "--q", "1", "--k", "0", "--trials", "1"
     )
@@ -449,15 +447,12 @@ def test_a_fault_in_a_subcommand_is_exit_2_not_a_mismatch(capsys, monkeypatch):
 
 @pytest.fixture
 def closed_form_off_by_one(monkeypatch):
-    """Make the closed form in every cell record wrong by 1."""
+    """Make the closed form in every cell record wrong: it returns one more
+    than its value on the forms it is given."""
     import lefdet.formulas as formulas
 
-    exact = formulas._closed_form_scaled
-    monkeypatch.setattr(
-        formulas,
-        "_closed_form_scaled",
-        lambda rp, k, scaled, factor: exact(rp, k, scaled, factor) + 1,
-    )
+    exact = formulas.det_closed_form
+    monkeypatch.setattr(formulas, "det_closed_form", lambda rp, k, forms: exact(rp, k, forms) + 1)
 
 
 def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_off_by_one):
@@ -534,25 +529,21 @@ def zero_kernel(monkeypatch):
     """Make every determinant of size 2 or more 0."""
     import lefdet.linalg as linalg
 
-    exact = linalg._det_bareiss
-    monkeypatch.setattr(
-        linalg, "_det_bareiss", lambda m, types: 0 if m.rows >= 2 else exact(m, types)
-    )
+    exact = linalg.det_bareiss
+    monkeypatch.setattr(linalg, "det_bareiss", lambda m: 0 if m.rows >= 2 else exact(m))
 
 
 @pytest.fixture
 def inverted_scaling(monkeypatch):
     """Make ``scaled_forms`` multiply by the scaling instead of undoing it,
-    for ``det_direct`` (in ``ring``) and every other route (in ``formulas``)."""
+    for the record and the anchor, its only callers (both in ``formulas``)."""
     import lefdet.formulas as formulas
-    import lefdet.ring as ring
     from lefdet.ring import scaled_forms
 
     def inverted(rp, k, forms):
         scaled, factor = scaled_forms(rp, k, forms)
         return scaled, 1 / factor
 
-    monkeypatch.setattr(ring, "scaled_forms", inverted)
     monkeypatch.setattr(formulas, "scaled_forms", inverted)
 
 
@@ -670,10 +661,8 @@ def test_the_anchor_builds_no_literal_audit(capsys, monkeypatch):
     import lefdet.formulas as formulas
 
     calls = []
-    audit = formulas._literal_cases_scaled
-    monkeypatch.setattr(
-        formulas, "_literal_cases_scaled", lambda *a: calls.append(a) or audit(*a)
-    )
+    audit = formulas.det_literal_cases
+    monkeypatch.setattr(formulas, "det_literal_cases", lambda *a: calls.append(a) or audit(*a))
     assert main(["verify", "--dmax", "7", "--trials", "5", "--seed", "1"]) == 0
     capsys.readouterr()
     assert len(calls) == 800
@@ -723,8 +712,8 @@ def doubled(route):
 
 @pytest.mark.parametrize("fault, holds", [
     (None, lambda u: True),
-    (doubled("_det_direct_scaled"), lambda u: False),
-    (doubled("_closed_form_scaled"), lambda u: False),
+    (doubled("det_direct"), lambda u: False),
+    (doubled("det_closed_form"), lambda u: False),
     (doubled_expansion(None), lambda u: False),
     (doubled_expansion(1), lambda u: u != 1),
 ], ids=["exact", "direct", "closed", "expansion", "expansion-at-u-1"])

@@ -244,8 +244,8 @@ def closed_form_cells(draw):
 def test_closed_form_on_integer_pairs_equals_the_rational_pair_evaluation(cell):
     rp, k, forms = cell
     width, height = (rp.d - k, k + 1) if k <= rp.q else (rp.socle - 2 * k, rp.q + 1)
-    got = det_closed_form(rp, k, forms)
-    assert type(got) is Fraction
+    scaled, factor = scaled_forms(rp, k, forms)
+    got = det_closed_form(rp, k, scaled) * factor
     assert got == schur_homog(rectangle(width, height), form_pair(forms), rows=height)
 
 
@@ -256,8 +256,7 @@ def test_closed_form_size_validation():
 
 @pytest.mark.parametrize("k,nforms", [(1, 1), (1, 3), (3, 0), (-1, 6), (1.0, 2), (True, 2)])
 def test_every_route_raises_the_one_cell_rule(k, nforms):
-    # one rule, one message: every route defers to ring.check_cell, through the
-    # scaled_forms gate or directly
+    # one rule, one message: every route and scaled_forms call ring.check_cell
     rp = RingParams(2, 2)
     forms = [F(1, 1)] * nforms
     with pytest.raises(ValueError) as direct:
@@ -322,8 +321,9 @@ def test_slp_scan_equals_direct_and_holds_exactly_when_ab_is_nonzero(case):
     rp, form = case
     report = slp_check(rp, form)
     assert [e.k for e in report.entries] == list(range(rp.socle // 2 + 1))
+    rational = Fraction in (type(form.a), type(form.b))
     for e in report.entries:
-        assert type(e.det) is Fraction
+        assert type(e.det) is (Fraction if rational else int)
         assert e.det == det_direct(rp, e.k, [form] * (rp.socle - 2 * e.k))
         assert e.nonzero is (e.det != 0)
     # every hook-content factor is positive, so only a zero coordinate can fail
@@ -667,9 +667,8 @@ def test_report_mixed_split_flags_literal_only():
 
 
 def test_one_report_scales_its_cell_once(monkeypatch):
-    # the direct route, the closed form and the audit share one scaled cell
+    # every route of the record runs on one scaled cell
     import lefdet.formulas as formulas
-    import lefdet.ring as ring
 
     calls = []
 
@@ -677,7 +676,6 @@ def test_one_report_scales_its_cell_once(monkeypatch):
         calls.append(args)
         return scaled_forms(*args)
 
-    monkeypatch.setattr(ring, "scaled_forms", counted)
     monkeypatch.setattr(formulas, "scaled_forms", counted)
     rp = RingParams(3, 2)
     sf = SplitForms.split([F(1, 2), F(-3, 4), F(5, 1)], 1)
@@ -692,7 +690,7 @@ def test_degree_anchor_is_true_at_every_split_of_every_cell_and_builds_no_audit(
     # a scale factor of 1, or a gcd half of 1, would hide a scaling fault
     assert scaled_forms(RingParams(1, 1), 0, [ANCHOR_FORM] * 2)[1] != 1
     assert primitive_part((ANCHOR_FORM.a, ANCHOR_FORM.b))[1] > 1
-    monkeypatch.setattr(formulas, "_literal_cases_scaled", lambda *a: pytest.fail("audit built"))
+    monkeypatch.setattr(formulas, "det_literal_cases", lambda *a: pytest.fail("audit built"))
     for d, q in [(1, 1), (2, 1), (3, 2), (4, 4), (5, 2)]:
         rp = RingParams(d, q)
         for k in range(rp.socle // 2 + 1):
@@ -700,7 +698,7 @@ def test_degree_anchor_is_true_at_every_split_of_every_cell_and_builds_no_audit(
             assert degree_anchor(rp, k, splits) == [True] * len(splits), (d, q, k)
 
 
-@pytest.mark.parametrize("route", ["_det_direct_scaled", "_closed_form_scaled"])
+@pytest.mark.parametrize("route", ["det_direct", "det_closed_form"])
 def test_anchor_fails_when_one_route_misses_det_power(monkeypatch, route):
     import lefdet.formulas as formulas
 
@@ -754,6 +752,27 @@ def test_report_routes_equal_the_public_routes_on_every_lattice_cell():
             undefined += record.literal_error is not None
     assert records == 2 * len(lattice_cells(7)) + len(lattice_cells(5))
     assert undefined > 0
+
+
+def test_every_public_route_evaluates_rational_forms_without_scaling(monkeypatch):
+    # only the record and the anchor scale; each route takes the forms as given
+    import lefdet.formulas as formulas
+    import lefdet.ring as ring
+
+    def unused(*args):
+        raise AssertionError("scaled_forms called")
+
+    monkeypatch.setattr(ring, "scaled_forms", unused)
+    monkeypatch.setattr(formulas, "scaled_forms", unused)
+    rp, k, form = RingParams(3, 2), 1, F("2/3", "-5/2")
+    forms = [form, F(1, "3/4"), F("-7/5", 2)]
+    sf = SplitForms.split(forms, 1)
+    direct = det_direct(rp, k, forms)
+    assert type(direct) is Fraction and direct != 0
+    assert det_closed_form(rp, k, forms) == direct
+    assert det_schur_expansion(rp, k, sf).value == direct
+    assert det_literal_cases(rp, k, sf)
+    assert det_power(rp, k, form) == det_direct(rp, k, [form] * 3)
 
 
 def test_report_literal_error_recorded_not_raised():

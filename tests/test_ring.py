@@ -349,13 +349,12 @@ def rational_cells(draw):
 
 @given(rational_cells())
 def test_integer_route_agrees_with_laplace_on_the_rational_block(case):
-    # det_direct scales the forms to primitive integer pairs; Laplace on the
-    # unscaled rational block shares none of that
+    # a record reduces the block of the primitive integer pairs and undoes the
+    # scaling by one factor; Laplace on the unscaled rational block shares none of that
     d, q, k, forms = case
     rp = RingParams(d, q)
-    value = det_direct(rp, k, forms)
-    assert type(value) is Fraction
-    assert value == det_laplace(mult_matrix_block(rp, forms, k))
+    scaled, factor = scaled_forms(rp, k, forms)
+    assert det_direct(rp, k, scaled) * factor == det_laplace(mult_matrix_block(rp, forms, k))
 
 
 def test_scaled_forms_returns_symbolic_forms_unchanged_with_the_int_factor_one():

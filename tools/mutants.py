@@ -23,7 +23,7 @@ a second on a 2-vCPU host.
 
     python3 tools/mutants.py --scan
 
-prints the full operator-swap table instead, and is not a CI step (462
+prints the full operator-swap table instead, and is not a CI step (458
 mutants, about 45 s on a 2-vCPU host).  Over ``SCAN_FILES`` it swaps each
 binary ``+``/``-`` and ``*``/``//`` (augmented assignments too), flips each
 comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) and raises each
@@ -120,16 +120,16 @@ MUTANTS = [
     ),
     (
         "lefdet/formulas.py",
-        "rows=height) * factor",
-        "rows=height) * factor * factor",
-        "closed form applies the scale factor twice",
+        "closed = det_closed_form(rp, k, scaled) * factor",
+        "closed = det_closed_form(rp, k, scaled) * factor * factor",
+        "the record applies the scale factor to its closed form twice",
         OWN,
     ),
     (
-        "lefdet/ring.py",
-        "det(mult_matrix_block(rp, scaled, k)) * factor",
-        "det(mult_matrix_block(rp, scaled, k)) * factor * factor",
-        "direct route applies the scale factor twice",
+        "lefdet/formulas.py",
+        "direct = det_direct(rp, k, scaled) * factor",
+        "direct = det_direct(rp, k, scaled) * factor * factor",
+        "the record applies the scale factor to its direct route twice",
         OWN,
     ),
     (
