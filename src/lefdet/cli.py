@@ -7,9 +7,7 @@ product of ``det_power``), ``schur`` (the three Schur evaluators side by
 side), ``duality`` (rectangular Schur identities), ``report`` (full
 side-by-side record for one instance).  ``verify``,
 ``sweep`` and ``report`` format every route from the one ``CellRecord`` that
-``discrepancy_report`` builds per trial.  Each subcommand returns its
-document body and whether its routes agreed; ``main`` alone adds the
-``schema``/``command`` envelope and picks the exit code.
+``discrepancy_report`` builds per trial.
 
 All rationals in output are strings ``p`` or ``p/q`` in lowest terms; there
 is no floating point anywhere.  ``verify`` and ``sweep`` evaluate cells in
@@ -17,41 +15,36 @@ order in one thread, each by a pure function keyed on (seed, cell
 coordinates), so output for a fixed seed is byte-identical from run to run.
 ``--threads`` is accepted for compatibility and ignored.
 
-``verify``, ``sweep``, ``report`` and ``det --method closed`` also anchor
-every cell (d, q, k, u) they give a verdict on, through ``anchors_hold``,
-which runs ``formulas.degree_anchor`` once per ring degree (d, q, k): at
-d+q-2k copies of ``ANCHOR_FORM`` = 4/3 x - 10/7 y, the direct route, the
-expansion at u and the closed form must each equal ``det_power``, the
-hook-content product, which takes no determinant, builds no E-table and
+One rule for failures.  Each subcommand returns its document body and its
+failure: ``None``, or the pair (what, command) for the first verified
+disagreement it found.  ``main`` alone adds the ``schema``/``command``
+envelope, writes the document and, for a failure, then writes the one stderr
+line ``lefdet: {what}; reproduce with: {command}`` and exits 1.  The command
+exits 1 on the same fault; ``None`` means the invocation is its own
+reproducer.  A mismatching ``verify`` or ``sweep`` trial names the ``lefdet
+report`` command for that trial, and then no anchor runs; a failed anchor
+names the ``lefdet verify --d D --q Q --k K --u U --trials 1`` command for
+its cell (``summary.mismatches`` counts trials, so it stays 0).  Exit codes:
+0 no failure, 1 a failure and nothing else, 2 usage error (argparse's own
+included), an arithmetic fault (a failed exactness check) or any other
+exception raised inside a subcommand, reported as an error document on
+stdout with nothing on stderr; ``SystemExit`` and ``KeyboardInterrupt`` pass
+through.  Literal-case audit findings never change the exit code.
+
+Anchors.  ``verify``, ``sweep``, ``report`` and ``det --method closed``
+anchor every cell (d, q, k, u) they give a verdict on, through
+``failed_anchor``, which runs ``formulas.degree_anchor`` once per ring degree
+(d, q, k): at d+q-2k copies of ``ANCHOR_FORM`` = 4/3 x - 10/7 y, the direct
+route, the expansion at u and the closed form must each equal ``det_power``,
+the hook-content product, which takes no determinant, builds no E-table and
 never calls ``scaled_forms``.  Every route of a record reduces through the
 same ``linalg.det`` and the same scaled cell, so a determinant kernel that
 returns 0, or a scaling fault, makes all of them agree on every trial; the
 anchor still sees it.  The form's scale factor (2/21)^((d+q-2k)*dim(R_k))
-has a denominator half and a gcd half that are both not 1; ``x + y``'s
-factor would be 1.  ``det --method closed`` anchors the closed form's cell, u =
-d+q-2k, whose expansion has one term.  ``det --method expansion`` is not
-anchored: its anchor would repeat a large cell's expansion, which cost the
-large-cells benchmark about a fifth more wall time.  An anchor that holds
-adds nothing to stdout.
-
-Exit codes: 0 success or all-match, 1 verified mismatch between the direct
-determinant and the expansion or closed form, at any split, a failed
-anchor, or ``report`` expansion terms that do not sum to its expansion
-value, and nothing else, 2 usage error (argparse's own included), an
-arithmetic fault (a failed exactness check) or any other exception raised
-inside a subcommand, reported as an error document on stdout with nothing on
-stderr; ``SystemExit`` and ``KeyboardInterrupt`` pass through.  When
-``verify`` or ``sweep`` exits 1, one line on stderr names the first
-mismatching trial and the ``lefdet report`` command that recomputes it, which
-exits 1 on the same disagreement.  When no trial mismatches but an anchor
-fails, ``summary.mismatches`` stays 0 (it counts trials) and the one line
-names the first failing cell and the ``lefdet verify --d D --q Q --k K --u U
---trials 1`` command that runs that cell's anchor again, which exits 1 on the
-same fault.  ``report`` and ``det --method closed`` write the same line
-when their cell's anchor fails.  When the expansion terms that ``report``
-prints do not sum to the ``det_expansion`` it prints, it writes one line
-that ends in its own ``lefdet report`` command and runs no anchor.
-Literal-case audit findings are reported but never change the exit code.
+has a denominator half and a gcd half that are both not 1.  ``det --method
+closed`` anchors u = d+q-2k, whose expansion has one term; ``det --method
+expansion`` is not anchored, since its anchor would repeat a large cell's
+expansion (about a fifth more large-cells wall time).
 """
 
 from __future__ import annotations
@@ -281,26 +274,22 @@ def report_command(d: int, q: int, k: int, u: int, forms) -> str:
     return f"lefdet report --d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(text)}"
 
 
-def anchors_hold(cells) -> bool:
-    """Whether the anchor holds at every cell (d, q, k, u), in order.
+def failed_anchor(cells) -> tuple[str, str] | None:
+    """The failure of the first cell (d, q, k, u), in order, whose anchor fails, or None.
 
     ``degree_anchor`` runs once for each run of consecutive cells that share
-    (d, q, k); the lattice's sort makes each degree one run.  At the first
-    failing cell, writes the one stderr line naming the ``lefdet verify``
-    command that runs that cell's anchor again, and returns False.
+    (d, q, k); the lattice's sort makes each degree one run.  The failure
+    names the ``lefdet verify`` command that runs that cell's anchor again.
     """
     for (d, q, k), degree in groupby(cells, key=lambda cell: cell[:3]):
         splits = [u for *_, u in degree]
         for u, holds in zip(splits, degree_anchor(RingParams(d, q), k, splits)):
             if not holds:
-                sys.stderr.write(
-                    f"lefdet: anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the routes "
-                    f"at {d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} "
-                    f"do not all give det_power; reproduce with: lefdet verify --d {d} "
-                    f"--q {q} --k {k} --u {u} --trials 1\n"
-                )
-                return False
-    return True
+                return (f"anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the routes at "
+                        f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} "
+                        f"do not all give det_power",
+                        f"lefdet verify --d {d} --q {q} --k {k} --u {u} --trials 1")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +306,7 @@ def read_cell(args) -> tuple[RingParams, SplitForms, dict]:
     return rp, sf, inputs
 
 
-def cmd_det(args) -> tuple[dict, bool]:
+def cmd_det(args) -> tuple[dict, tuple[str, str | None] | None]:
     if args.u is not None and args.method != "expansion":
         raise ValueError(f"--u splits the expansion; --method {args.method} takes no split")
     rp, sf, inputs = read_cell(args)
@@ -325,11 +314,9 @@ def cmd_det(args) -> tuple[dict, bool]:
     direct = det_direct(rp, args.k, sf.all_forms)
     if args.method == "direct":
         body["det"] = fmt(direct)
-        return body, True
-    anchored = True
+        return body, None
     if args.method == "closed":
         value = det_closed_form(rp, args.k, sf.all_forms)
-        anchored = anchors_hold([(args.d, args.q, args.k, rp.socle - 2 * args.k)])
     else:
         body["inputs"]["u"] = sf.u
         expansion = det_schur_expansion(rp, args.k, sf)
@@ -337,7 +324,11 @@ def cmd_det(args) -> tuple[dict, bool]:
         body["terms"] = [term_doc(term) for term in expansion.terms]
     body["det"] = fmt(value)
     body["match_direct"] = value == direct
-    return body, value == direct and anchored
+    if value != direct:
+        return body, (f"det --method {args.method} differs from det_direct", None)
+    # only the closed form's cell, u = d+q-2k, is anchored
+    anchored = [(args.d, args.q, args.k, rp.socle - 2 * args.k)] if args.method == "closed" else []
+    return body, failed_anchor(anchored)
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
@@ -368,36 +359,30 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     return cells
 
 
-def run_sweep(args) -> tuple[dict, list[dict], int, bool]:
+def run_sweep(args) -> tuple[dict, list[dict], int, tuple[str, str] | None]:
     """Evaluate the cells that ``verify`` or ``sweep`` selects.
 
     Returns the inputs document, one result per cell, the number of
-    mismatching trials and whether every trial matched and every anchor held.
-    Names the first mismatch on stderr with the ``lefdet report`` command
-    that recomputes it or, when every trial matched, the first failed anchor
-    with the ``lefdet verify`` command that runs it again.
+    mismatching trials and the failure: the first mismatching trial, with the
+    ``lefdet report`` command that recomputes it, or else the first failed
+    anchor.
     """
     cells = _sweep_cells(args)
     results = [eval_cell(args.seed, cell, args.trials, args.allow_zero) for cell in cells]
-    mismatches = 0
-    for cell in results:
-        for row in cell["trials"]:
-            if row["match"]:
-                continue
-            if not mismatches:
-                d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
-                sys.stderr.write(
-                    f"lefdet: first mismatch at (d,q,k,u,trial) = "
-                    f"({d},{q},{k},{u},{row['trial']}); reproduce with: "
-                    f"{report_command(d, q, k, u, row['forms'])}\n"
-                )
-            mismatches += 1
+    mismatches = [(cell, row) for cell in results for row in cell["trials"] if not row["match"]]
+    if mismatches:
+        cell, row = mismatches[0]
+        d, q, k, u = cell["d"], cell["q"], cell["k"], cell["u"]
+        failure = (f"first mismatch at (d,q,k,u,trial) = ({d},{q},{k},{u},{row['trial']})",
+                   report_command(d, q, k, u, row["forms"]))
+    else:
+        failure = failed_anchor(cells)
     inputs = {"seed": args.seed, "trials": args.trials, "allow_zero": args.allow_zero}
-    return inputs, results, mismatches, not mismatches and anchors_hold(cells)
+    return inputs, results, len(mismatches), failure
 
 
-def cmd_verify(args) -> tuple[dict, bool]:
-    inputs, results, mismatches, agrees = run_sweep(args)
+def cmd_verify(args) -> tuple[dict, tuple[str, str | None] | None]:
+    inputs, results, mismatches, failure = run_sweep(args)
     literal_flagged = sorted(
         {
             (cell["d"], cell["q"], cell["k"], cell["u"])
@@ -416,11 +401,11 @@ def cmd_verify(args) -> tuple[dict, bool]:
             "literal_case_flagged_cells": [list(c) for c in literal_flagged],
         },
     }
-    return body, agrees
+    return body, failure
 
 
-def cmd_sweep(args) -> tuple[dict, bool]:
-    inputs, results, mismatches, agrees = run_sweep(args)
+def cmd_sweep(args) -> tuple[dict, tuple[str, str | None] | None]:
+    inputs, results, mismatches, failure = run_sweep(args)
     rows = []
     for cell in results:
         for row in cell["trials"]:
@@ -431,10 +416,10 @@ def cmd_sweep(args) -> tuple[dict, bool]:
         "rows": rows,
         "summary": {"rows": len(rows), "mismatches": mismatches},
     }
-    return body, agrees
+    return body, failure
 
 
-def cmd_slp(args) -> tuple[dict, bool]:
+def cmd_slp(args) -> tuple[dict, tuple[str, str | None] | None]:
     rp = RingParams(args.d, args.q)
     forms = parse_forms(args.forms)
     if len(forms) != 1:
@@ -447,10 +432,10 @@ def cmd_slp(args) -> tuple[dict, bool]:
         ],
         "slp": report.holds,
     }
-    return body, True
+    return body, None
 
 
-def cmd_schur(args) -> tuple[dict, bool]:
+def cmd_schur(args) -> tuple[dict, tuple[str, str | None] | None]:
     lam = Partition.from_text(args.partition)
     values = parse_values(args.values)
     if not values:
@@ -472,10 +457,10 @@ def cmd_schur(args) -> tuple[dict, bool]:
                                      if results[key] is None))
     body.update(results)
     body["agree"] = len(set(computed)) == 1
-    return body, body["agree"]
+    return body, None if body["agree"] else ("the Schur evaluators disagree", None)
 
 
-def cmd_duality(args) -> tuple[dict, bool]:
+def cmd_duality(args) -> tuple[dict, tuple[str, str | None] | None]:
     complement = args.partition is not None
     stray = [f"--{name}" for name in ("mab" if complement else "nxy")
              if getattr(args, name) is not None]
@@ -515,10 +500,11 @@ def cmd_duality(args) -> tuple[dict, bool]:
     body["lhs"] = fmt(result.lhs)
     body["rhs"] = fmt(result.rhs)
     body["equal"] = result.equal
-    return body, result.equal
+    return body, None if result.equal else (
+        f"the {body['inputs']['identity']} identity does not hold", None)
 
 
-def cmd_report(args) -> tuple[dict, bool]:
+def cmd_report(args) -> tuple[dict, tuple[str, str | None] | None]:
     rp, sf, inputs = read_cell(args)
     record = discrepancy_report(rp, args.k, sf)
     body = {
@@ -538,15 +524,14 @@ def cmd_report(args) -> tuple[dict, bool]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
+    cell = f"(d,q,k,u) = ({args.d},{args.q},{args.k},{sf.u})"
     if sum(t.value for t in record.expansion.terms) != record.expansion.value:
         # the verdicts read only the total; the printed terms must add up to it
-        sys.stderr.write(
-            f"lefdet: the expansion terms at (d,q,k,u) = ({args.d},{args.q},{args.k},{sf.u}) "
-            f"do not sum to det_expansion; reproduce with: "
-            f"{report_command(args.d, args.q, args.k, sf.u, inputs['forms'])}\n"
-        )
-        return body, False
-    return body, anchors_hold([(args.d, args.q, args.k, sf.u)]) and record.agrees
+        return body, (f"the expansion terms at {cell} do not sum to det_expansion", None)
+    failure = failed_anchor([(args.d, args.q, args.k, sf.u)])
+    if failure is None and not record.agrees:
+        failure = (f"the routes at {cell} do not all give det_direct", None)
+    return body, failure
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +661,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        body, agrees = COMMANDS[args.command](args)
+        body, failure = COMMANDS[args.command](args)
         emit({"schema": SCHEMA, "command": args.command, **body}, args.output)
     except Exception as exc:
         # exit 1 is kept for a verified mismatch: any other fault is an error document
@@ -685,7 +670,15 @@ def main(argv=None) -> int:
             json.dumps({"schema": SCHEMA, "error": message}, sort_keys=True) + "\n"
         )
         return EXIT_USAGE
-    return EXIT_OK if agrees else EXIT_MISMATCH
+    if failure is None:
+        return EXIT_OK
+    what, command = failure
+    if command is None:
+        import shlex  # here, not at the top: only a failure line needs it
+
+        command = shlex.join(["lefdet", *(sys.argv[1:] if argv is None else argv)])
+    sys.stderr.write(f"lefdet: {what}; reproduce with: {command}\n")
+    return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import random
 import shlex
@@ -15,7 +16,12 @@ from lefdet.cli import (
     parse_values,
     random_form,
 )
-from lefdet.formulas import CellRecord, Expansion, ExpansionTerm
+from lefdet.formulas import (
+    CellRecord,
+    ComplementIdentityResult,
+    Expansion,
+    ExpansionTerm,
+)
 from lefdet.ring import LinearForm, RingParams, det_direct
 
 
@@ -614,7 +620,7 @@ def test_report_exits_1_when_its_printed_terms_miss_its_printed_total(capsys, mo
                           record.literal, record.literal_error)
 
     monkeypatch.setattr(cli, "discrepancy_report", one_wrong_term)
-    monkeypatch.setattr(cli, "anchors_hold", lambda cells: pytest.fail("anchor ran"))
+    monkeypatch.setattr(cli, "failed_anchor", lambda cells: pytest.fail("anchor ran"))
     assert main(REPORT_TERMS_ARGV) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -680,7 +686,7 @@ def test_every_lattice_cell_is_anchored(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "degree_anchor", recorded)
     cells = cli.lattice_cells(7)
-    assert cli.anchors_hold(cells)
+    assert cli.failed_anchor(cells) is None
     assert anchored == cells
     assert capsys.readouterr().err == ""
 
@@ -718,7 +724,7 @@ def doubled(route):
     (doubled_expansion(1), lambda u: u != 1),
 ], ids=["exact", "direct", "closed", "expansion", "expansion-at-u-1"])
 def test_anchors_hold_is_degree_anchor_per_cell(capsys, monkeypatch, fault, holds):
-    from lefdet.cli import anchors_hold, lattice_cells
+    from lefdet.cli import failed_anchor, lattice_cells
     from lefdet.formulas import degree_anchor
 
     if fault is not None:
@@ -726,15 +732,17 @@ def test_anchors_hold_is_degree_anchor_per_cell(capsys, monkeypatch, fault, hold
     cells = lattice_cells(7)
     per_cell = [degree_anchor(RingParams(d, q), k, [u])[0] for d, q, k, u in cells]
     assert per_cell == [holds(u) for *_, u in cells]
-    assert anchors_hold(cells) == all(per_cell)
-    err = capsys.readouterr().err
+    failure = failed_anchor(cells)
+    # the failure is a value: main alone writes it
+    assert capsys.readouterr().err == ""
     failing = [cell for cell, anchored in zip(cells, per_cell) if not anchored]
     if failing:
-        # one line, for the first failing cell
-        assert err.count("\n") == 1
-        assert err.startswith("lefdet: anchor failed at (d,q,k,u) = (%d,%d,%d,%d):" % failing[0])
+        # the first failing cell, and the command that runs its anchor again
+        what, command = failure
+        assert what.startswith("anchor failed at (d,q,k,u) = (%d,%d,%d,%d):" % failing[0])
+        assert command == "lefdet verify --d %d --q %d --k %d --u %d --trials 1" % failing[0]
     else:
-        assert err == ""
+        assert failure is None
 
 
 def test_det_closed_anchor_runs_the_expansion_its_reproduce_command_runs(capsys, monkeypatch):
@@ -773,6 +781,58 @@ def test_verify_runs_det_power_once_per_ring_degree(capsys, monkeypatch):
     capsys.readouterr()
     # 160 cells over 40 degrees (d, q, k)
     assert len(calls) == len(set(calls)) == 40
+
+
+def cli_fault(name, change):
+    """Make the ``cli`` binding ``name`` return ``change`` of what it returns."""
+    def patch(monkeypatch):
+        import lefdet.cli as cli
+
+        exact = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: change(exact(*a)))
+    return patch
+
+
+DET_EXPANSION_ARGV = ["det", "--d", "3", "--q", "2", "--k", "1", "--u", "2", "--method",
+                      "expansion", "--forms=2/3,1;1,3;-5/2,7"]
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (DET_CLOSED_ARGV, cli_fault("det_closed_form", lambda value: value + 1)),
+    (DET_EXPANSION_ARGV, cli_fault("det_schur_expansion",
+                                   lambda e: Expansion(e.value * 2, e.terms))),
+    # the record's closed form alone: the anchor's routes are untouched
+    (REPORT_ARGV, cli_fault("discrepancy_report", lambda r: CellRecord(
+        r.rp, r.k, r.split, r.direct, r.expansion, r.closed + 1, r.literal, r.literal_error))),
+    (["schur", "--partition", "[2,1]", "--values", "1/2,-3,5"],
+     cli_fault("schur_tableaux", lambda value: value + 1)),
+    (["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],
+     cli_fault("complement_identity_check", lambda r: ComplementIdentityResult(
+         mu=r.mu, lhs=r.lhs, rhs=r.rhs + 1, equal=False))),
+], ids=["det-closed", "det-expansion", "report-routes", "schur", "duality"])
+def test_every_exit_1_writes_one_line_whose_command_exits_1_again(capsys, monkeypatch, argv,
+                                                                   fault):
+    # each compares its own routes, so the invocation itself is the reproducer
+    assert main(argv) == 0
+    agreeing = capsys.readouterr()
+    assert agreeing.err == ""
+    fault(monkeypatch)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines(keepends=True)
+    assert len(lines) == 1 and lines[0].endswith("\n") and "reproduce with: " in lines[0]
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
+    assert command == ["lefdet", *argv]
+    # stdout is the whole document, of the agreeing run's shape
+    assert set(json.loads(captured.out)) == set(json.loads(agreeing.out))
+    assert main(command[1:]) == 1
+    assert capsys.readouterr().err == captured.err
+    # main writes the line after the document
+    both = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    assert main(argv) == 1
+    assert both.getvalue() == captured.out + captured.err
 
 
 def test_arithmetic_fault_is_an_error_document_not_a_mismatch(capsys, monkeypatch):

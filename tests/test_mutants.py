@@ -45,11 +45,18 @@ def test_every_shared_fault_row_also_runs_report():
         "ExactMatrix.row starts each row at entry r // cols",
     }
     assert all(
-        commands in (mutants.OWN, mutants.SHARED, mutants.TERMS) for *_, commands in mutants.MUTANTS
+        commands in (mutants.OWN, mutants.SHARED, mutants.TERMS, mutants.FRACTION)
+        for *_, commands in mutants.MUTANTS
     )
     assert mutants.TERMS == (mutants.REPORT_TERMS,)
     assert mutants.REPORT_TERMS[2:] == ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                                         "--forms=2/3,1;1,3;-5/2,7"]
+    # the one command that reaches Bareiss on Fraction entries: det on rational forms
+    assert mutants.FRACTION == (mutants.DET_EXPANSION,)
+    assert mutants.DET_EXPANSION[2:] == ["det", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
+                                         "--method", "expansion", "--forms=2/3,1;1,3;-5/2,7"]
+    assert [reason for *_, reason, commands in mutants.MUTANTS
+            if commands == mutants.FRACTION] == ["Bareiss halves every rational determinant"]
     assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT, mutants.DET_CLOSED)
     assert mutants.REPORT[2:] == ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1",
                                   "--forms", "2,1;1,3"]

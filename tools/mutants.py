@@ -12,7 +12,10 @@ anchor can see it; the gate also runs ``REPORT`` and ``DET_CLOSED`` on it,
 each of which runs its one cell's full anchor, as ``VERIFY`` does for each
 of its cells.  A row marked ``TERMS`` breaks only the expansion terms that
 ``report`` prints, which no verdict reads; it runs ``REPORT_TERMS``, whose
-terms must sum to its total.  A row's ``old``
+terms must sum to its total.  The row marked ``FRACTION`` breaks only
+Bareiss on ``Fraction`` entries, which the record and the anchor never
+build, since they run in ``int``; it runs ``DET_EXPANSION``, whose routes
+evaluate the parsed forms as given.  That makes 25 rows.  A row's ``old``
 text must occur exactly once in its file, so a row that no longer matches
 the source fails loudly instead of testing nothing.  Children run with
 ``-B``: a cached ``.pyc`` is keyed on the source's size and whole-second
@@ -61,11 +64,15 @@ DET_CLOSED = ["-m", "lefdet", "det", "--d", "2", "--q", "2", "--k", "1", "--meth
 # a cell whose scale factor is not 1, so a fault in the printed terms' scaling shows
 REPORT_TERMS = ["-m", "lefdet", "report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                 "--forms=2/3,1;1,3;-5/2,7"]
+# the same cell unscaled: ``det`` runs its routes on the parsed ``Fraction`` forms
+DET_EXPANSION = ["-m", "lefdet", "det", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
+                 "--method", "expansion", "--forms=2/3,1;1,3;-5/2,7"]
 
 # the commands a row must make exit 1 with the reproduce line
 OWN = (VERIFY,)
 SHARED = (VERIFY, REPORT, DET_CLOSED)
 TERMS = (REPORT_TERMS,)
+FRACTION = (DET_EXPANSION,)
 
 # (file under src, old text, new text, what the mutant breaks, commands)
 MUTANTS = [
@@ -239,6 +246,15 @@ MUTANTS = [
         "ExactMatrix.row starts each row at entry r // cols",
         SHARED,
     ),
+    # the record and the anchor reduce only int matrices, so only a command
+    # that evaluates rational forms as given reaches Bareiss's Fraction half
+    (
+        "lefdet/linalg.py",
+        "scale = 1",
+        "scale = 2",
+        "Bareiss halves every rational determinant",
+        FRACTION,
+    ),
 ]
 
 
@@ -373,7 +389,8 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         if args.scan:
             return scan(src)
-        if any(run(src, command).returncode != 0 for command in (*SHARED, REPORT_TERMS)):
+        if any(run(src, command).returncode != 0
+               for command in (*SHARED, REPORT_TERMS, DET_EXPANSION)):
             print("unmutated source does not pass", file=sys.stderr)
             return 1
         survivors = 0
