@@ -5,9 +5,11 @@ cross-check sweep with exit-code semantics), ``sweep`` (the same lattice as a
 flat per-trial table), ``slp`` (strong Lefschetz scan, by the hook-content
 product of ``det_power``), ``schur`` (the three Schur evaluators side by
 side), ``duality`` (rectangular Schur identities), ``report`` (full
-side-by-side record for one instance).  ``verify``,
-``sweep`` and ``report`` format every route from the one ``CellRecord`` that
-``discrepancy_report`` builds per trial.
+side-by-side record for one instance).  ``verify``, ``sweep``, ``report`` and
+``det --method expansion|closed`` format every route from the one
+``CellRecord`` that ``discrepancy_report`` builds per cell, which runs every
+route in ``int`` on the cell's scaled forms; ``det --method direct`` gives no
+verdict and reduces the forms as given.
 
 All rationals in output are strings ``p`` or ``p/q`` in lowest terms; there
 is no floating point anywhere.  ``verify`` and ``sweep`` evaluate cells in
@@ -31,20 +33,22 @@ exception raised inside a subcommand, reported as an error document on
 stdout with nothing on stderr; ``SystemExit`` and ``KeyboardInterrupt`` pass
 through.  Literal-case audit findings never change the exit code.
 
-Anchors.  ``verify``, ``sweep``, ``report`` and ``det --method closed``
-anchor every cell (d, q, k, u) they give a verdict on, through
-``failed_anchor``, which runs ``formulas.degree_anchor`` once per ring degree
-(d, q, k): at d+q-2k copies of ``ANCHOR_FORM`` = 4/3 x - 10/7 y, the direct
-route, the expansion at u and the closed form must each equal ``det_power``,
-the hook-content product, which takes no determinant, builds no E-table and
-never calls ``scaled_forms``.  Every route of a record reduces through the
+Anchors.  ``verify``, ``sweep``, ``report`` and ``det --method
+expansion|closed`` anchor every cell (d, q, k, u) they give a verdict on,
+through ``failed_anchor``, which runs ``formulas.degree_anchor`` once per
+ring degree (d, q, k): at d+q-2k copies of ``ANCHOR_FORM`` = 4/3 x - 10/7 y,
+the direct route, the expansion at u and the closed form must each equal
+``det_power``, the hook-content product, which takes no determinant, builds
+no E-table and never calls ``scaled_forms``.  Every route of a record reduces through the
 same ``linalg.det`` and the same scaled cell, so a determinant kernel that
 returns 0, or a scaling fault, makes all of them agree on every trial; the
 anchor still sees it.  The form's scale factor (2/21)^((d+q-2k)*dim(R_k))
-has a denominator half and a gcd half that are both not 1.  ``det --method
-closed`` anchors u = d+q-2k, whose expansion has one term; ``det --method
-expansion`` is not anchored, since its anchor would repeat a large cell's
-expansion (about a fifth more large-cells wall time).
+has a denominator half and a gcd half that are both not 1.  ``det`` anchors
+its own split, which for ``--method closed`` is u = d+q-2k, where the
+expansion has one term.  ``report`` and ``det`` return the first failure of,
+in this order: the printed expansion terms do not sum to the printed total
+(``report`` and ``det --method expansion``, the only commands that print
+terms), a route differs from the direct one, the anchor fails.
 """
 
 from __future__ import annotations
@@ -64,8 +68,6 @@ from .formulas import (
     SplitForms,
     complement_identity_check,
     degree_anchor,
-    det_closed_form,
-    det_schur_expansion,
     discrepancy_report,
     duality_check,
     slp_check,
@@ -274,6 +276,10 @@ def report_command(d: int, q: int, k: int, u: int, forms) -> str:
     return f"lefdet report --d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(text)}"
 
 
+def cell_name(d: int, q: int, k: int, u: int) -> str:
+    return f"(d,q,k,u) = ({d},{q},{k},{u})"
+
+
 def failed_anchor(cells) -> tuple[str, str] | None:
     """The failure of the first cell (d, q, k, u), in order, whose anchor fails, or None.
 
@@ -285,7 +291,7 @@ def failed_anchor(cells) -> tuple[str, str] | None:
         splits = [u for *_, u in degree]
         for u, holds in zip(splits, degree_anchor(RingParams(d, q), k, splits)):
             if not holds:
-                return (f"anchor failed at (d,q,k,u) = ({d},{q},{k},{u}): the routes at "
+                return (f"anchor failed at {cell_name(d, q, k, u)}: the routes at "
                         f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} "
                         f"do not all give det_power",
                         f"lefdet verify --d {d} --q {q} --k {k} --u {u} --trials 1")
@@ -306,29 +312,39 @@ def read_cell(args) -> tuple[RingParams, SplitForms, dict]:
     return rp, sf, inputs
 
 
+def unsummed_terms(expansion, cell, total: str) -> tuple[str, None] | None:
+    """The failure of ``det`` and ``report`` when the expansion terms of
+    ``cell`` (d, q, k, u) do not sum to the total they print as ``total``:
+    the verdicts read only the total."""
+    if sum(t.value for t in expansion.terms) != expansion.value:
+        return f"the expansion terms at {cell_name(*cell)} do not sum to {total}", None
+    return None
+
+
 def cmd_det(args) -> tuple[dict, tuple[str, str | None] | None]:
     if args.u is not None and args.method != "expansion":
         raise ValueError(f"--u splits the expansion; --method {args.method} takes no split")
     rp, sf, inputs = read_cell(args)
     body = {"inputs": {**inputs, "method": args.method}}
-    direct = det_direct(rp, args.k, sf.all_forms)
     if args.method == "direct":
-        body["det"] = fmt(direct)
+        # no verdict to anchor: the forms as given
+        body["det"] = fmt(det_direct(rp, args.k, sf.all_forms))
         return body, None
+    record = discrepancy_report(rp, args.k, sf)
+    cell = (args.d, args.q, args.k, sf.u)
+    failure = None
     if args.method == "closed":
-        value = det_closed_form(rp, args.k, sf.all_forms)
+        value = record.closed
     else:
         body["inputs"]["u"] = sf.u
-        expansion = det_schur_expansion(rp, args.k, sf)
-        value = expansion.value
-        body["terms"] = [term_doc(term) for term in expansion.terms]
+        value = record.expansion.value
+        body["terms"] = [term_doc(term) for term in record.expansion.terms]
+        failure = unsummed_terms(record.expansion, cell, "det")
     body["det"] = fmt(value)
-    body["match_direct"] = value == direct
-    if value != direct:
-        return body, (f"det --method {args.method} differs from det_direct", None)
-    # only the closed form's cell, u = d+q-2k, is anchored
-    anchored = [(args.d, args.q, args.k, rp.socle - 2 * args.k)] if args.method == "closed" else []
-    return body, failed_anchor(anchored)
+    body["match_direct"] = value == record.direct
+    if failure is None and value != record.direct:
+        failure = (f"det --method {args.method} differs from det_direct", None)
+    return body, failure or failed_anchor([cell])
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
@@ -524,14 +540,11 @@ def cmd_report(args) -> tuple[dict, tuple[str, str | None] | None]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    cell = f"(d,q,k,u) = ({args.d},{args.q},{args.k},{sf.u})"
-    if sum(t.value for t in record.expansion.terms) != record.expansion.value:
-        # the verdicts read only the total; the printed terms must add up to it
-        return body, (f"the expansion terms at {cell} do not sum to det_expansion", None)
-    failure = failed_anchor([(args.d, args.q, args.k, sf.u)])
+    cell = (args.d, args.q, args.k, sf.u)
+    failure = unsummed_terms(record.expansion, cell, "det_expansion")
     if failure is None and not record.agrees:
-        failure = (f"the routes at {cell} do not all give det_direct", None)
-    return body, failure
+        failure = (f"the routes at {cell_name(*cell)} do not all give det_direct", None)
+    return body, failure or failed_anchor([cell])
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def replaced(record, **fields):
+    """``record`` with the given ``CellRecord`` fields replaced."""
+    return CellRecord(**{name: fields.get(name, getattr(record, name))
+                         for name in CellRecord.__slots__})
+
+
 # --- wire formats ------------------------------------------------------------
 
 
@@ -491,6 +497,21 @@ def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_
     assert report["matches"]["closed_form"] is False
 
 
+def test_the_report_a_mismatch_names_fails_on_its_own_routes_first(capsys,
+                                                                     closed_form_off_by_one):
+    # the anchors fail too, but report, like verify and det, puts its routes
+    # first: its line names its own invocation, not the anchor's verify command
+    assert main(["verify", "--dmax", "3"]) == 1
+    command = shlex.split(capsys.readouterr().err.split("reproduce with: ", 1)[1])
+    assert command[:2] == ["lefdet", "report"]
+    assert main(command[1:]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    cell = "(d,q,k,u) = (%s,%s,%s,%s)" % tuple(command[3:11:2])
+    assert len(lines) == 1
+    assert lines[0].startswith(f"lefdet: the routes at {cell} do not all give det_direct;")
+    assert shlex.split(lines[0].split("reproduce with: ", 1)[1]) == command
+
+
 def test_csv_is_rejected_before_the_lattice_runs(capsys, closed_form_off_by_one):
     # a usage error, not a mismatch: no trial runs and no reproduce line
     code = main(["verify", "--dmax", "3", "--output", "csv"])
@@ -602,11 +623,12 @@ REPORT_TERMS_ARGV = ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                      "--forms=2/3,1;1,3;-5/2,7"]
 
 
-def test_report_exits_1_when_its_printed_terms_miss_its_printed_total(capsys, monkeypatch):
-    # no verdict reads the terms, so report checks that they add up to its total
+def assert_printed_terms_are_checked(capsys, monkeypatch, argv, terms, total):
+    """``argv`` exits 1 on its own line, before any anchor, when its printed
+    ``terms`` do not sum to its printed ``total``: no verdict reads the terms."""
     import lefdet.cli as cli
 
-    assert main(REPORT_TERMS_ARGV) == 0
+    assert main(argv) == 0
     agreeing = capsys.readouterr()
     assert agreeing.err == ""
     exact = cli.discrepancy_report
@@ -615,25 +637,30 @@ def test_report_exits_1_when_its_printed_terms_miss_its_printed_total(capsys, mo
         record = exact(rp, k, sf)
         first, *rest = record.expansion.terms
         wrong = ExpansionTerm(first.delta, first.lam, first.nu, first.value + 1)
-        expansion = Expansion(record.expansion.value, (wrong, *rest))
-        return CellRecord(rp, k, sf, record.direct, expansion, record.closed,
-                          record.literal, record.literal_error)
+        return replaced(record, expansion=Expansion(record.expansion.value, (wrong, *rest)))
 
     monkeypatch.setattr(cli, "discrepancy_report", one_wrong_term)
     monkeypatch.setattr(cli, "failed_anchor", lambda cells: pytest.fail("anchor ran"))
-    assert main(REPORT_TERMS_ARGV) == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and "(d,q,k,u) = (3,2,1,2)" in lines[0]
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        f"lefdet: the expansion terms at (d,q,k,u) = (3,2,1,2) do not sum to {total};")
     command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
-    assert command == ["lefdet", *REPORT_TERMS_ARGV]
+    assert command == ["lefdet", *argv]
     # stdout is the document as before, with the one wrong term in it
     doc, expected = json.loads(captured.out), json.loads(agreeing.out)
-    first = expected["expansion_terms"][0]
+    first = expected[terms][0]
     first["value"] = fmt(Fraction(first["value"]) + 1)
     assert doc == expected
     assert main(command[1:]) == 1
     assert capsys.readouterr().err == captured.err
+
+
+def test_report_exits_1_when_its_printed_terms_miss_its_printed_total(capsys, monkeypatch):
+    assert_printed_terms_are_checked(capsys, monkeypatch, REPORT_TERMS_ARGV,
+                                     "expansion_terms", "det_expansion")
 
 
 DET_CLOSED_ARGV = ["det", "--d", "2", "--q", "2", "--k", "1", "--method", "closed",
@@ -660,6 +687,36 @@ def test_det_closed_anchor_catches_a_scaling_fault_that_both_routes_share(
 def test_det_closed_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
     assert main(DET_CLOSED_ARGV) == 0
     assert capsys.readouterr().err == ""
+
+
+DET_EXPANSION_ARGV = ["det", "--d", "3", "--q", "2", "--k", "1", "--u", "2", "--method",
+                      "expansion", "--forms=2/3,1;1,3;-5/2,7"]
+
+
+def assert_det_expansion_anchor_fails(capsys):
+    """``det --method expansion`` exits 1 on a fault that its routes share;
+    the anchor names the expansion's own split."""
+    doc = assert_one_anchor_line(capsys, DET_EXPANSION_ARGV, "(3,2,1,2)")
+    assert doc["match_direct"] is True
+
+
+def test_det_expansion_anchor_catches_a_determinant_kernel_that_returns_0(capsys, zero_kernel):
+    assert_det_expansion_anchor_fails(capsys)
+
+
+def test_det_expansion_anchor_catches_a_scaling_fault_that_both_routes_share(
+    capsys, inverted_scaling
+):
+    assert_det_expansion_anchor_fails(capsys)
+
+
+def test_det_expansion_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
+    assert main(DET_EXPANSION_ARGV) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_det_expansion_exits_1_when_its_printed_terms_miss_its_printed_det(capsys, monkeypatch):
+    assert_printed_terms_are_checked(capsys, monkeypatch, DET_EXPANSION_ARGV, "terms", "det")
 
 
 def test_the_anchor_builds_no_literal_audit(capsys, monkeypatch):
@@ -793,17 +850,17 @@ def cli_fault(name, change):
     return patch
 
 
-DET_EXPANSION_ARGV = ["det", "--d", "3", "--q", "2", "--k", "1", "--u", "2", "--method",
-                      "expansion", "--forms=2/3,1;1,3;-5/2,7"]
+def doubled_terms(expansion):
+    return Expansion(expansion.value * 2, tuple(
+        ExpansionTerm(t.delta, t.lam, t.nu, t.value * 2) for t in expansion.terms))
 
 
+# each fault is in the record's routes alone: the anchor's routes are untouched
 @pytest.mark.parametrize("argv, fault", [
-    (DET_CLOSED_ARGV, cli_fault("det_closed_form", lambda value: value + 1)),
-    (DET_EXPANSION_ARGV, cli_fault("det_schur_expansion",
-                                   lambda e: Expansion(e.value * 2, e.terms))),
-    # the record's closed form alone: the anchor's routes are untouched
-    (REPORT_ARGV, cli_fault("discrepancy_report", lambda r: CellRecord(
-        r.rp, r.k, r.split, r.direct, r.expansion, r.closed + 1, r.literal, r.literal_error))),
+    (DET_CLOSED_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1))),
+    (DET_EXPANSION_ARGV, cli_fault("discrepancy_report",
+                                   lambda r: replaced(r, expansion=doubled_terms(r.expansion)))),
+    (REPORT_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1))),
     (["schur", "--partition", "[2,1]", "--values", "1/2,-3,5"],
      cli_fault("schur_tableaux", lambda value: value + 1)),
     (["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],

@@ -30,8 +30,8 @@ def test_every_mutant_row_occurs_exactly_once_in_its_source():
 def test_every_shared_fault_row_also_runs_report():
     # a fault in the determinant kernel or the scale factor reaches every
     # route of a record alike, so only the anchor sees it; ``report`` and
-    # ``det --method closed`` run their one cell's full anchor, as ``verify``
-    # does for each of its cells
+    # ``det --method closed|expansion`` run their one cell's full anchor, as
+    # ``verify`` does for each of its cells
     mutants = load_gate()
     shared = {reason for *_, reason, commands in mutants.MUTANTS if commands == mutants.SHARED}
     assert shared == {
@@ -48,16 +48,19 @@ def test_every_shared_fault_row_also_runs_report():
         commands in (mutants.OWN, mutants.SHARED, mutants.TERMS, mutants.FRACTION)
         for *_, commands in mutants.MUTANTS
     )
-    assert mutants.TERMS == (mutants.REPORT_TERMS,)
+    # the two commands that print expansion terms
+    assert mutants.TERMS == (mutants.REPORT_TERMS, mutants.DET_EXPANSION)
     assert mutants.REPORT_TERMS[2:] == ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                                         "--forms=2/3,1;1,3;-5/2,7"]
-    # the one command that reaches Bareiss on Fraction entries: det on rational forms
-    assert mutants.FRACTION == (mutants.DET_EXPANSION,)
     assert mutants.DET_EXPANSION[2:] == ["det", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                                          "--method", "expansion", "--forms=2/3,1;1,3;-5/2,7"]
+    # a command that reaches Bareiss on Fraction entries: Schur values as given
+    assert mutants.FRACTION == (mutants.SCHUR,)
+    assert mutants.SCHUR[2:] == ["schur", "--partition", "[2,1]", "--values", "1/2,-3,5"]
     assert [reason for *_, reason, commands in mutants.MUTANTS
             if commands == mutants.FRACTION] == ["Bareiss halves every rational determinant"]
-    assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT, mutants.DET_CLOSED)
+    assert mutants.SHARED == (mutants.VERIFY, mutants.REPORT, mutants.DET_CLOSED,
+                              mutants.DET_EXPANSION)
     assert mutants.REPORT[2:] == ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "1",
                                   "--forms", "2,1;1,3"]
     assert mutants.DET_CLOSED[2:] == ["det", "--d", "2", "--q", "2", "--k", "1",

@@ -8,14 +8,16 @@ the unmutated copy, where each must exit 0.  Then, once per row of
 which must exit 1 and name the reproduce command on stderr.  Most rows run
 ``VERIFY`` alone (``OWN``).  A row marked ``SHARED`` breaks what every route
 of a record shares (the determinant kernel or the scale factor), so only an
-anchor can see it; the gate also runs ``REPORT`` and ``DET_CLOSED`` on it,
-each of which runs its one cell's full anchor, as ``VERIFY`` does for each
-of its cells.  A row marked ``TERMS`` breaks only the expansion terms that
-``report`` prints, which no verdict reads; it runs ``REPORT_TERMS``, whose
-terms must sum to its total.  The row marked ``FRACTION`` breaks only
+anchor can see it; the gate also runs ``REPORT``, ``DET_CLOSED`` and
+``DET_EXPANSION`` on it, each of which runs its one cell's full anchor, as
+``VERIFY`` does for each of its cells.  A row marked ``TERMS`` breaks only
+the expansion terms that ``report`` and ``det --method expansion`` print,
+which no verdict reads; it runs ``REPORT_TERMS`` and ``DET_EXPANSION``, whose
+terms must sum to their total.  The row marked ``FRACTION`` breaks only
 Bareiss on ``Fraction`` entries, which the record and the anchor never
-build, since they run in ``int``; it runs ``DET_EXPANSION``, whose routes
-evaluate the parsed forms as given.  That makes 25 rows.  A row's ``old``
+build, since they run in ``int``; it runs ``SCHUR``, whose evaluators reduce
+the rational values as given.  That makes 25 rows: 15 ``OWN``, 8 ``SHARED``
+(run on four commands each), 1 ``TERMS`` and 1 ``FRACTION``.  A row's ``old``
 text must occur exactly once in its file, so a row that no longer matches
 the source fails loudly instead of testing nothing.  Children run with
 ``-B``: a cached ``.pyc`` is keyed on the source's size and whole-second
@@ -64,15 +66,16 @@ DET_CLOSED = ["-m", "lefdet", "det", "--d", "2", "--q", "2", "--k", "1", "--meth
 # a cell whose scale factor is not 1, so a fault in the printed terms' scaling shows
 REPORT_TERMS = ["-m", "lefdet", "report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                 "--forms=2/3,1;1,3;-5/2,7"]
-# the same cell unscaled: ``det`` runs its routes on the parsed ``Fraction`` forms
 DET_EXPANSION = ["-m", "lefdet", "det", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                  "--method", "expansion", "--forms=2/3,1;1,3;-5/2,7"]
+# rational values that every Schur evaluator reduces as given, in Fraction
+SCHUR = ["-m", "lefdet", "schur", "--partition", "[2,1]", "--values", "1/2,-3,5"]
 
 # the commands a row must make exit 1 with the reproduce line
 OWN = (VERIFY,)
-SHARED = (VERIFY, REPORT, DET_CLOSED)
-TERMS = (REPORT_TERMS,)
-FRACTION = (DET_EXPANSION,)
+SHARED = (VERIFY, REPORT, DET_CLOSED, DET_EXPANSION)
+TERMS = (REPORT_TERMS, DET_EXPANSION)
+FRACTION = (SCHUR,)
 
 # (file under src, old text, new text, what the mutant breaks, commands)
 MUTANTS = [
@@ -199,7 +202,8 @@ MUTANTS = [
         "lefdet/formulas.py",
         "t.value * factor",
         "t.value // factor",
-        "the record's expansion terms floor-divide by the scale factor: only report prints them",
+        "the record's expansion terms floor-divide by the scale factor: only report and det "
+        "--method expansion print them",
         TERMS,
     ),
     (
@@ -247,7 +251,7 @@ MUTANTS = [
         SHARED,
     ),
     # the record and the anchor reduce only int matrices, so only a command
-    # that evaluates rational forms as given reaches Bareiss's Fraction half
+    # that evaluates rational values as given reaches Bareiss's Fraction half
     (
         "lefdet/linalg.py",
         "scale = 1",
@@ -390,7 +394,7 @@ def main(argv=None) -> int:
         if args.scan:
             return scan(src)
         if any(run(src, command).returncode != 0
-               for command in (*SHARED, REPORT_TERMS, DET_EXPANSION)):
+               for command in (*SHARED, *TERMS, *FRACTION)):
             print("unmutated source does not pass", file=sys.stderr)
             return 1
         survivors = 0
