@@ -19,14 +19,16 @@ coordinates), so output for a fixed seed is byte-identical from run to run.
 
 One rule for failures.  Each subcommand returns its document body and its
 failure: ``None``, or the pair (what, command) for the first verified
-disagreement it found.  ``main`` alone adds the ``schema``/``command``
-envelope, writes the document and, for a failure, then writes the one stderr
-line ``lefdet: {what}; reproduce with: {command}`` and exits 1.  The command
-exits 1 on the same fault; ``None`` means the invocation is its own
-reproducer.  A mismatching ``verify`` or ``sweep`` trial names the ``lefdet
-report`` command for that trial, and then no anchor runs; a failed anchor
-names the ``lefdet verify --d D --q Q --k K --u U --trials 1`` command for
-its cell (``summary.mismatches`` counts trials, so it stays 0).  Exit codes:
+disagreement it found.  The command is the argv after ``lefdet`` that exits
+1 on the same fault, as a tuple, or ``None`` when the invocation is its own
+reproducer.  ``main`` alone adds the ``schema``/``command`` envelope, writes
+the document and, for a failure, then writes the one stderr line ``lefdet:
+{what}; reproduce with: lefdet {command}``, the command quoted by
+``shlex.join``, and exits 1.  A mismatching ``verify`` or ``sweep`` trial
+names the ``report`` command for that trial, and then no anchor runs; a
+failed anchor names the ``verify --d D --q Q --k K --u U --trials 1``
+command for its cell (``summary.mismatches`` counts trials, so it stays 0).
+Exit codes:
 0 no failure, 1 a failure and nothing else, 2 usage error (argparse's own
 included), an arithmetic fault (a failed exactness check) or any other
 exception raised inside a subcommand, reported as an error document on
@@ -45,10 +47,11 @@ returns 0, or a scaling fault, makes all of them agree on every trial; the
 anchor still sees it.  The form's scale factor (2/21)^((d+q-2k)*dim(R_k))
 has a denominator half and a gcd half that are both not 1.  ``det`` anchors
 its own split, which for ``--method closed`` is u = d+q-2k, where the
-expansion has one term.  ``report`` and ``det`` return the first failure of,
-in this order: the printed expansion terms do not sum to the printed total
-(``report`` and ``det --method expansion``, the only commands that print
-terms), a route differs from the direct one, the anchor fails.
+expansion has one term.  ``report`` and ``det --method expansion|closed``
+share one verdict, ``judged``: a route of the cell's record that differs from
+the direct one, reproduced by the invocation itself, else a failed anchor.
+The record's expansion total is the sum of the terms it prints, so the
+verdict reads those terms too.
 """
 
 from __future__ import annotations
@@ -85,6 +88,9 @@ RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# what failed, and the argv after ``lefdet`` that reproduces it (None: the invocation itself)
+Failure = tuple[str, tuple[str, ...] | None]
 
 # one row of ``sweep``: its JSON keys and, in this order, its CSV columns
 SWEEP_COLUMNS = (
@@ -268,24 +274,26 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
     return {"d": d, "q": q, "k": k, "u": u, "trials": rows}
 
 
-def report_command(d: int, q: int, k: int, u: int, forms) -> str:
-    """The ``lefdet report`` command for one cell, given its forms as ``form_doc`` pairs."""
-    import shlex  # here, not at the top: only a failure line needs it
+def cell_flags(d: int, q: int, k: int, u: int) -> tuple[str, ...]:
+    return "--d", str(d), "--q", str(q), "--k", str(k), "--u", str(u)
 
+
+def report_command(d: int, q: int, k: int, u: int, forms) -> tuple[str, ...]:
+    """The ``report`` argv for one cell, given its forms as ``form_doc`` pairs."""
     text = ";".join(",".join(pair) for pair in forms)
-    return f"lefdet report --d {d} --q {q} --k {k} --u {u} --forms={shlex.quote(text)}"
+    return "report", *cell_flags(d, q, k, u), f"--forms={text}"
 
 
 def cell_name(d: int, q: int, k: int, u: int) -> str:
     return f"(d,q,k,u) = ({d},{q},{k},{u})"
 
 
-def failed_anchor(cells) -> tuple[str, str] | None:
+def failed_anchor(cells) -> Failure | None:
     """The failure of the first cell (d, q, k, u), in order, whose anchor fails, or None.
 
     ``degree_anchor`` runs once for each run of consecutive cells that share
     (d, q, k); the lattice's sort makes each degree one run.  The failure
-    names the ``lefdet verify`` command that runs that cell's anchor again.
+    names the ``verify`` argv that runs that cell's anchor again.
     """
     for (d, q, k), degree in groupby(cells, key=lambda cell: cell[:3]):
         splits = [u for *_, u in degree]
@@ -294,7 +302,7 @@ def failed_anchor(cells) -> tuple[str, str] | None:
                 return (f"anchor failed at {cell_name(d, q, k, u)}: the routes at "
                         f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} "
                         f"do not all give det_power",
-                        f"lefdet verify --d {d} --q {q} --k {k} --u {u} --trials 1")
+                        ("verify", *cell_flags(d, q, k, u), "--trials", "1"))
     return None
 
 
@@ -312,16 +320,16 @@ def read_cell(args) -> tuple[RingParams, SplitForms, dict]:
     return rp, sf, inputs
 
 
-def unsummed_terms(expansion, cell, total: str) -> tuple[str, None] | None:
-    """The failure of ``det`` and ``report`` when the expansion terms of
-    ``cell`` (d, q, k, u) do not sum to the total they print as ``total``:
-    the verdicts read only the total."""
-    if sum(t.value for t in expansion.terms) != expansion.value:
-        return f"the expansion terms at {cell_name(*cell)} do not sum to {total}", None
-    return None
+def judged(record, cell) -> Failure | None:
+    """The failure of ``det`` and ``report`` on the record of their one cell
+    (d, q, k, u): a route that misses the direct one, which the invocation
+    itself reproduces, or else the cell's failed anchor."""
+    if not record.agrees:
+        return f"the routes at {cell_name(*cell)} do not all give det_direct", None
+    return failed_anchor([cell])
 
 
-def cmd_det(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_det(args) -> tuple[dict, Failure | None]:
     if args.u is not None and args.method != "expansion":
         raise ValueError(f"--u splits the expansion; --method {args.method} takes no split")
     rp, sf, inputs = read_cell(args)
@@ -331,20 +339,15 @@ def cmd_det(args) -> tuple[dict, tuple[str, str | None] | None]:
         body["det"] = fmt(det_direct(rp, args.k, sf.all_forms))
         return body, None
     record = discrepancy_report(rp, args.k, sf)
-    cell = (args.d, args.q, args.k, sf.u)
-    failure = None
     if args.method == "closed":
         value = record.closed
     else:
         body["inputs"]["u"] = sf.u
         value = record.expansion.value
         body["terms"] = [term_doc(term) for term in record.expansion.terms]
-        failure = unsummed_terms(record.expansion, cell, "det")
     body["det"] = fmt(value)
     body["match_direct"] = value == record.direct
-    if failure is None and value != record.direct:
-        failure = (f"det --method {args.method} differs from det_direct", None)
-    return body, failure or failed_anchor([cell])
+    return body, judged(record, (args.d, args.q, args.k, sf.u))
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
@@ -375,12 +378,12 @@ def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
     return cells
 
 
-def run_sweep(args) -> tuple[dict, list[dict], int, tuple[str, str] | None]:
+def run_sweep(args) -> tuple[dict, list[dict], int, Failure | None]:
     """Evaluate the cells that ``verify`` or ``sweep`` selects.
 
     Returns the inputs document, one result per cell, the number of
     mismatching trials and the failure: the first mismatching trial, with the
-    ``lefdet report`` command that recomputes it, or else the first failed
+    ``report`` argv that recomputes it, or else the first failed
     anchor.
     """
     cells = _sweep_cells(args)
@@ -397,7 +400,7 @@ def run_sweep(args) -> tuple[dict, list[dict], int, tuple[str, str] | None]:
     return inputs, results, len(mismatches), failure
 
 
-def cmd_verify(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_verify(args) -> tuple[dict, Failure | None]:
     inputs, results, mismatches, failure = run_sweep(args)
     literal_flagged = sorted(
         {
@@ -420,7 +423,7 @@ def cmd_verify(args) -> tuple[dict, tuple[str, str | None] | None]:
     return body, failure
 
 
-def cmd_sweep(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_sweep(args) -> tuple[dict, Failure | None]:
     inputs, results, mismatches, failure = run_sweep(args)
     rows = []
     for cell in results:
@@ -435,7 +438,7 @@ def cmd_sweep(args) -> tuple[dict, tuple[str, str | None] | None]:
     return body, failure
 
 
-def cmd_slp(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_slp(args) -> tuple[dict, Failure | None]:
     rp = RingParams(args.d, args.q)
     forms = parse_forms(args.forms)
     if len(forms) != 1:
@@ -451,7 +454,7 @@ def cmd_slp(args) -> tuple[dict, tuple[str, str | None] | None]:
     return body, None
 
 
-def cmd_schur(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_schur(args) -> tuple[dict, Failure | None]:
     lam = Partition.from_text(args.partition)
     values = parse_values(args.values)
     if not values:
@@ -476,7 +479,7 @@ def cmd_schur(args) -> tuple[dict, tuple[str, str | None] | None]:
     return body, None if body["agree"] else ("the Schur evaluators disagree", None)
 
 
-def cmd_duality(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_duality(args) -> tuple[dict, Failure | None]:
     complement = args.partition is not None
     stray = [f"--{name}" for name in ("mab" if complement else "nxy")
              if getattr(args, name) is not None]
@@ -520,7 +523,7 @@ def cmd_duality(args) -> tuple[dict, tuple[str, str | None] | None]:
         f"the {body['inputs']['identity']} identity does not hold", None)
 
 
-def cmd_report(args) -> tuple[dict, tuple[str, str | None] | None]:
+def cmd_report(args) -> tuple[dict, Failure | None]:
     rp, sf, inputs = read_cell(args)
     record = discrepancy_report(rp, args.k, sf)
     body = {
@@ -540,11 +543,7 @@ def cmd_report(args) -> tuple[dict, tuple[str, str | None] | None]:
         "literal_case_error": record.literal_error,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
-    cell = (args.d, args.q, args.k, sf.u)
-    failure = unsummed_terms(record.expansion, cell, "det_expansion")
-    if failure is None and not record.agrees:
-        failure = (f"the routes at {cell_name(*cell)} do not all give det_direct", None)
-    return body, failure or failed_anchor([cell])
+    return body, judged(record, (args.d, args.q, args.k, sf.u))
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +684,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if failure is None:
         return EXIT_OK
+    import shlex  # here, not at the top: only a failure line needs it
+
     what, command = failure
     if command is None:
-        import shlex  # here, not at the top: only a failure line needs it
-
-        command = shlex.join(["lefdet", *(sys.argv[1:] if argv is None else argv)])
-    sys.stderr.write(f"lefdet: {what}; reproduce with: {command}\n")
+        command = sys.argv[1:] if argv is None else argv
+    sys.stderr.write(f"lefdet: {what}; reproduce with: {shlex.join(['lefdet', *command])}\n")
     return EXIT_MISMATCH
 
 

@@ -438,17 +438,18 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     route runs on and the factor that multiplies every value it returns,
     each expansion term and audit case included.  A term or a case has the
     total's degree dim(R_k) in every form, so this is exact, and each value
-    equals what its public route returns on the forms as given.  Scaling
+    equals what its public route returns on the forms as given.  The
+    expansion's total is the sum of its scaled terms, so a verdict on the
+    total reads the very terms a caller prints.  Scaling
     keeps every zero coefficient, so the audit's precondition reads the same
     on the scaled split.
     """
     scaled, factor = scaled_forms(rp, k, sf.all_forms)
     evaluated = SplitForms.split(scaled, sf.u)
     direct = det_direct(rp, k, scaled) * factor
-    scaled_expansion = det_schur_expansion(rp, k, evaluated)
     terms = tuple(ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
-                  for t in scaled_expansion.terms)
-    expansion = Expansion(scaled_expansion.value * factor, terms)
+                  for t in det_schur_expansion(rp, k, evaluated).terms)
+    expansion = Expansion(sum(t.value for t in terms), terms)
     closed = det_closed_form(rp, k, scaled) * factor
     try:
         literal = tuple(LiteralCase(c.case_id, c.condition, c.value * factor, c.skipped_terms)

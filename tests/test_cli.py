@@ -497,19 +497,51 @@ def test_verify_mismatch_names_a_reproducing_report_command(capsys, closed_form_
     assert report["matches"]["closed_form"] is False
 
 
-def test_the_report_a_mismatch_names_fails_on_its_own_routes_first(capsys,
-                                                                     closed_form_off_by_one):
-    # the anchors fail too, but report, like verify and det, puts its routes
-    # first: its line names its own invocation, not the anchor's verify command
+def assert_the_named_report_fails_on_its_own_routes(capsys) -> dict:
+    """``verify --dmax 3`` exits 1 on a first mismatch, and the ``lefdet
+    report`` command it names exits 1 on its own route line, which names that
+    command again; returns the report's document."""
     assert main(["verify", "--dmax", "3"]) == 1
-    command = shlex.split(capsys.readouterr().err.split("reproduce with: ", 1)[1])
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lefdet: first mismatch at (d,q,k,u,trial) = ")
+    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
     assert command[:2] == ["lefdet", "report"]
     assert main(command[1:]) == 1
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     cell = "(d,q,k,u) = (%s,%s,%s,%s)" % tuple(command[3:11:2])
     assert len(lines) == 1
     assert lines[0].startswith(f"lefdet: the routes at {cell} do not all give det_direct;")
     assert shlex.split(lines[0].split("reproduce with: ", 1)[1]) == command
+    return json.loads(captured.out)
+
+
+def test_the_report_a_mismatch_names_fails_on_its_own_routes_first(capsys,
+                                                                     closed_form_off_by_one):
+    # the anchors fail too, but report, like verify and det, puts its routes
+    # first: its line names its own invocation, not the anchor's verify command
+    assert_the_named_report_fails_on_its_own_routes(capsys)
+
+
+def test_a_fault_in_the_printed_terms_alone_is_a_verify_mismatch(capsys, monkeypatch):
+    # the expansion's first term is one more, but its total is not: the
+    # record's total is the sum of its terms, so verify sees the fault, and
+    # the report it names fails on its own routes, whose terms it prints
+    import lefdet.formulas as formulas
+
+    exact = formulas.det_schur_expansion
+
+    def first_term_off_by_one(rp, k, sf):
+        expansion = exact(rp, k, sf)
+        first, *rest = expansion.terms
+        wrong = ExpansionTerm(first.delta, first.lam, first.nu, first.value + 1)
+        return Expansion(expansion.value, (wrong, *rest))
+
+    monkeypatch.setattr(formulas, "det_schur_expansion", first_term_off_by_one)
+    report = assert_the_named_report_fails_on_its_own_routes(capsys)
+    assert report["matches"] == {"expansion": False, "closed_form": True}
+    assert sum(Fraction(t["value"]) for t in report["expansion_terms"]) == Fraction(
+        report["det_expansion"]) != Fraction(report["det_direct"])
 
 
 def test_csv_is_rejected_before_the_lattice_runs(capsys, closed_form_off_by_one):
@@ -618,51 +650,6 @@ def test_report_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
     assert capsys.readouterr().err == ""
 
 
-# a cell whose scale factor is not 1, with terms that are not integers
-REPORT_TERMS_ARGV = ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
-                     "--forms=2/3,1;1,3;-5/2,7"]
-
-
-def assert_printed_terms_are_checked(capsys, monkeypatch, argv, terms, total):
-    """``argv`` exits 1 on its own line, before any anchor, when its printed
-    ``terms`` do not sum to its printed ``total``: no verdict reads the terms."""
-    import lefdet.cli as cli
-
-    assert main(argv) == 0
-    agreeing = capsys.readouterr()
-    assert agreeing.err == ""
-    exact = cli.discrepancy_report
-
-    def one_wrong_term(rp, k, sf):
-        record = exact(rp, k, sf)
-        first, *rest = record.expansion.terms
-        wrong = ExpansionTerm(first.delta, first.lam, first.nu, first.value + 1)
-        return replaced(record, expansion=Expansion(record.expansion.value, (wrong, *rest)))
-
-    monkeypatch.setattr(cli, "discrepancy_report", one_wrong_term)
-    monkeypatch.setattr(cli, "failed_anchor", lambda cells: pytest.fail("anchor ran"))
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(
-        f"lefdet: the expansion terms at (d,q,k,u) = (3,2,1,2) do not sum to {total};")
-    command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
-    assert command == ["lefdet", *argv]
-    # stdout is the document as before, with the one wrong term in it
-    doc, expected = json.loads(captured.out), json.loads(agreeing.out)
-    first = expected[terms][0]
-    first["value"] = fmt(Fraction(first["value"]) + 1)
-    assert doc == expected
-    assert main(command[1:]) == 1
-    assert capsys.readouterr().err == captured.err
-
-
-def test_report_exits_1_when_its_printed_terms_miss_its_printed_total(capsys, monkeypatch):
-    assert_printed_terms_are_checked(capsys, monkeypatch, REPORT_TERMS_ARGV,
-                                     "expansion_terms", "det_expansion")
-
-
 DET_CLOSED_ARGV = ["det", "--d", "2", "--q", "2", "--k", "1", "--method", "closed",
                    "--forms", "2,1;1,3"]
 
@@ -713,10 +700,6 @@ def test_det_expansion_anchor_catches_a_scaling_fault_that_both_routes_share(
 def test_det_expansion_with_a_holding_anchor_writes_nothing_on_stderr(capsys):
     assert main(DET_EXPANSION_ARGV) == 0
     assert capsys.readouterr().err == ""
-
-
-def test_det_expansion_exits_1_when_its_printed_terms_miss_its_printed_det(capsys, monkeypatch):
-    assert_printed_terms_are_checked(capsys, monkeypatch, DET_EXPANSION_ARGV, "terms", "det")
 
 
 def test_the_anchor_builds_no_literal_audit(capsys, monkeypatch):
@@ -797,7 +780,8 @@ def test_anchors_hold_is_degree_anchor_per_cell(capsys, monkeypatch, fault, hold
         # the first failing cell, and the command that runs its anchor again
         what, command = failure
         assert what.startswith("anchor failed at (d,q,k,u) = (%d,%d,%d,%d):" % failing[0])
-        assert command == "lefdet verify --d %d --q %d --k %d --u %d --trials 1" % failing[0]
+        d, q, k, u = map(str, failing[0])
+        assert command == ("verify", "--d", d, "--q", q, "--k", k, "--u", u, "--trials", "1")
     else:
         assert failure is None
 
@@ -858,6 +842,8 @@ def doubled_terms(expansion):
 # each fault is in the record's routes alone: the anchor's routes are untouched
 @pytest.mark.parametrize("argv, fault", [
     (DET_CLOSED_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1))),
+    (DET_CLOSED_ARGV, cli_fault("discrepancy_report",
+                                lambda r: replaced(r, expansion=doubled_terms(r.expansion)))),
     (DET_EXPANSION_ARGV, cli_fault("discrepancy_report",
                                    lambda r: replaced(r, expansion=doubled_terms(r.expansion)))),
     (REPORT_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1))),
@@ -866,7 +852,8 @@ def doubled_terms(expansion):
     (["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],
      cli_fault("complement_identity_check", lambda r: ComplementIdentityResult(
          mu=r.mu, lhs=r.lhs, rhs=r.rhs + 1, equal=False))),
-], ids=["det-closed", "det-expansion", "report-routes", "schur", "duality"])
+], ids=["det-closed", "det-closed-expansion", "det-expansion", "report-routes", "schur",
+        "duality"])
 def test_every_exit_1_writes_one_line_whose_command_exits_1_again(capsys, monkeypatch, argv,
                                                                    fault):
     # each compares its own routes, so the invocation itself is the reproducer

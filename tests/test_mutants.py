@@ -45,13 +45,9 @@ def test_every_shared_fault_row_also_runs_report():
         "ExactMatrix.row starts each row at entry r // cols",
     }
     assert all(
-        commands in (mutants.OWN, mutants.SHARED, mutants.TERMS, mutants.FRACTION)
+        commands in (mutants.OWN, mutants.SHARED, mutants.FRACTION)
         for *_, commands in mutants.MUTANTS
     )
-    # the two commands that print expansion terms
-    assert mutants.TERMS == (mutants.REPORT_TERMS, mutants.DET_EXPANSION)
-    assert mutants.REPORT_TERMS[2:] == ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
-                                        "--forms=2/3,1;1,3;-5/2,7"]
     assert mutants.DET_EXPANSION[2:] == ["det", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
                                          "--method", "expansion", "--forms=2/3,1;1,3;-5/2,7"]
     # a command that reaches Bareiss on Fraction entries: Schur values as given
@@ -65,6 +61,16 @@ def test_every_shared_fault_row_also_runs_report():
                                   "--forms", "2,1;1,3"]
     assert mutants.DET_CLOSED[2:] == ["det", "--d", "2", "--q", "2", "--k", "1",
                                       "--method", "closed", "--forms", "2,1;1,3"]
+
+
+def test_the_expansion_term_rows_need_only_verify():
+    # the record's total is the sum of the terms it prints, so a fault in
+    # the terms reaches verify's verdict
+    mutants = load_gate()
+    rows = {row[:3]: row[4] for row in mutants.MUTANTS}
+    assert rows.get(("lefdet/formulas.py", "t.value * factor", "t.value // factor")) == mutants.OWN
+    assert rows.get(("lefdet/formulas.py", "sum(t.value for t in terms)",
+                     "sum(t.value for t in terms[1:])")) == mutants.OWN
 
 
 def test_the_e_table_top_entry_has_its_own_row():
