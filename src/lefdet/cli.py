@@ -26,6 +26,8 @@ the document and, for a failure, then writes the one stderr line ``lefdet:
 {what}; reproduce with: lefdet {command}``, the command quoted by
 ``shlex.join``, and exits 1.  A mismatching ``verify`` or ``sweep`` trial
 names the ``report`` command for that trial, and then no anchor runs; a
+``det --method expansion|closed`` whose routes disagree names the ``report``
+command for its cell, which prints every route; a
 failed anchor names the ``verify --d D --q Q --k K --u U --trials 1``
 command for its cell (``summary.mismatches`` counts trials, so it stays 0).
 Exit codes:
@@ -49,9 +51,11 @@ has a denominator half and a gcd half that are both not 1.  ``det`` anchors
 its own split, which for ``--method closed`` is u = d+q-2k, where the
 expansion has one term.  ``report`` and ``det --method expansion|closed``
 share one verdict, ``judged``: a route of the cell's record that differs from
-the direct one, reproduced by the invocation itself, else a failed anchor.
-The record's expansion total is the sum of the terms it prints, so the
-verdict reads those terms too.
+the direct one, else a failed anchor.  ``report`` reproduces a route failure
+with its own invocation.  An expansion's value is the sum of its terms, so
+the verdict reads the very terms that ``det`` and ``report`` print.  A record
+whose literal audit is ``None`` (a vanishing group product) prints as
+``"undefined"`` in ``verify`` and as ``literal_case_error`` in ``report``.
 """
 
 from __future__ import annotations
@@ -88,6 +92,9 @@ RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+
+# report's note for a record whose literal audit is None
+LITERAL_UNDEFINED = "literal case formula undefined: a group product vanishes"
 
 # what failed, and the argv after ``lefdet`` that reproduces it (None: the invocation itself)
 Failure = tuple[str, tuple[str, ...] | None]
@@ -267,7 +274,7 @@ def eval_cell(seed: int, cell: tuple[int, int, int, int], trials: int, allow_zer
                 "det_closed": fmt(record.closed),
                 "match": record.agrees,
                 "literal_case_audit": "undefined"
-                if record.literal_error is not None
+                if record.literal is None
                 else [audit_doc(c, record.direct) for c in record.literal],
             }
         )
@@ -320,12 +327,12 @@ def read_cell(args) -> tuple[RingParams, SplitForms, dict]:
     return rp, sf, inputs
 
 
-def judged(record, cell) -> Failure | None:
+def judged(record, cell, command=None) -> Failure | None:
     """The failure of ``det`` and ``report`` on the record of their one cell
-    (d, q, k, u): a route that misses the direct one, which the invocation
-    itself reproduces, or else the cell's failed anchor."""
+    (d, q, k, u): a route that misses the direct one, reproduced by
+    ``command``, or else the cell's failed anchor."""
     if not record.agrees:
-        return f"the routes at {cell_name(*cell)} do not all give det_direct", None
+        return f"the routes at {cell_name(*cell)} do not all give det_direct", command
     return failed_anchor([cell])
 
 
@@ -347,7 +354,9 @@ def cmd_det(args) -> tuple[dict, Failure | None]:
         body["terms"] = [term_doc(term) for term in record.expansion.terms]
     body["det"] = fmt(value)
     body["match_direct"] = value == record.direct
-    return body, judged(record, (args.d, args.q, args.k, sf.u))
+    cell = args.d, args.q, args.k, sf.u
+    # the report of the cell prints every route, the one that missed included
+    return body, judged(record, cell, report_command(*cell, inputs["forms"]))
 
 
 def _sweep_cells(args) -> list[tuple[int, int, int, int]]:
@@ -538,9 +547,9 @@ def cmd_report(args) -> tuple[dict, Failure | None]:
                 "condition": c.condition,
                 "skipped_terms": c.skipped_terms,
             }
-            for c in record.literal
+            for c in record.literal or ()
         ],
-        "literal_case_error": record.literal_error,
+        "literal_case_error": LITERAL_UNDEFINED if record.literal is None else None,
         "matches": {"expansion": record.expansion_matches, "closed_form": record.closed_matches},
     }
     return body, judged(record, (args.d, args.q, args.k, sf.u))

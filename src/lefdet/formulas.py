@@ -11,7 +11,8 @@ minor carries the partition lam(delta)_r = u + r - delta_r and the hat minor
 carries nu(delta)_r = max(0, q-k) + r - delta_r.  Everything is polynomial
 in the coefficients, so the expansion reproduces the brute-force determinant
 exactly, with no nonvanishing hypotheses, over rationals and over symbolic
-coefficients alike.
+coefficients alike.  An ``Expansion`` holds only its terms; its value is
+their sum, so the library route, a record and the anchor read one total.
 
 ``det_closed_form`` is a single rectangular Schur value of the unsplit
 product, the u = d+q-2k degeneration of the expansion.  The determinant does
@@ -52,9 +53,9 @@ mixed-split cases are KNOWN to disagree with the direct determinant: the hat
 group's entry law mirrors through a, not b, and the four case statements do
 not account for that.  ``discrepancy_report`` computes every route side by
 side as one ``CellRecord``, so the disagreement is documented evidence,
-never silently trusted.  The record marks the audit undefined only for its
-one declared precondition, a vanishing group product
-(``LiteralCaseUndefined``); any other error in the audit reaches the caller.
+never silently trusted.  The audit is ``None`` only when its one declared
+precondition fails, a vanishing group product; any error in the audit
+reaches the caller.
 
 Audit cases 2-4 are box sums: over the partitions lam of a width x r box,
 r = k+1, the sum of s_lam(first) s_mu(second), mu the complement of lam in
@@ -131,7 +132,13 @@ class ExpansionTerm(Record):
 
 
 class Expansion(Record):
-    __slots__ = ("value", "terms")
+    """The expansion's terms; its value is their sum, the one Cauchy-Binet total."""
+
+    __slots__ = ("terms",)
+
+    @property
+    def value(self):
+        return sum(t.value for t in self.terms)
 
 
 @lru_cache(maxsize=256)
@@ -158,8 +165,9 @@ def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
 
     The subsets delta run over the y-degrees of the intermediate basis,
     max(0, k+u-d) .. min(k+u, q); each term is the product of the two
-    division-free Schur minors described in the module docstring.  The total
-    equals ``det_direct`` on the concatenated form list, including sign.
+    division-free Schur minors described in the module docstring.  Their
+    sum, the expansion's value, equals ``det_direct`` on the concatenated
+    form list, including sign.
     """
     check_cell(rp, k, len(sf.all_forms))
     u = sf.u
@@ -169,15 +177,11 @@ def det_schur_expansion(rp: RingParams, k: int, sf: SplitForms) -> Expansion:
     nu_base = max(0, rp.q - k)
     check_pair = sf.check_pair()
     hat_pair = sf.hat_pair()
-    terms = []
-    total = 0
-    for delta, lam, nu in _term_skeleton(lo, hi, size, u, nu_base):
-        value = schur_homog(nu, hat_pair, rows=size) * schur_homog(
-            lam, check_pair, rows=size
-        )
-        terms.append(ExpansionTerm(delta=delta, lam=lam, nu=nu, value=value))
-        total = total + value
-    return Expansion(value=total, terms=tuple(terms))
+    return Expansion(tuple(
+        ExpansionTerm(delta, lam, nu, schur_homog(nu, hat_pair, rows=size)
+                      * schur_homog(lam, check_pair, rows=size))
+        for delta, lam, nu in _term_skeleton(lo, hi, size, u, nu_base)
+    ))
 
 
 def _rectangle_sides(rp: RingParams, k: int) -> tuple[int, int]:
@@ -293,19 +297,16 @@ class LiteralCase(Record):
     __slots__ = ("case_id", "condition", "value", "skipped_terms")
 
 
-class LiteralCaseUndefined(ValueError):
-    """The audit's one declared precondition fails: a group product vanishes."""
-
-
-def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCase]:
+def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCase] | None:
     """Audit-only evaluation of the four per-case ratio formulas.
 
     Each formula is computed through its division-free carrier, which agrees
-    with the displayed ratio form whenever the group products are nonzero;
-    as the formulas require, a zero b in the check group or a zero a in the
-    hat group raises ``LiteralCaseUndefined``.  Case 3 as displayed can ask
-    for a rectangle complement that does not exist (a part exceeding d);
-    such summands are skipped and counted in ``skipped_terms``.
+    with the displayed ratio form whenever the group products are nonzero.
+    The formulas require that: with a zero b in the check group or a zero a
+    in the hat group they are undefined, and the audit returns ``None``.
+    Case 3 as displayed can ask for a rectangle complement that does not
+    exist (a part exceeding d); such summands are skipped and counted in
+    ``skipped_terms``.
 
     Cases 2-4 sum s_lam(first) * s_mu(second) over lam in a width x r box,
     r = k+1, with mu the complement of lam in the d x r box.  With c running
@@ -327,7 +328,7 @@ def det_literal_cases(rp: RingParams, k: int, sf: SplitForms) -> list[LiteralCas
     u = sf.u
     v = len(sf.hat)
     if any(f.b == 0 for f in sf.check) or any(f.a == 0 for f in sf.hat):
-        raise LiteralCaseUndefined("literal case formula undefined: a group product vanishes")
+        return None
     check_pair = sf.check_pair()
     hat_pair = sf.hat_pair()
     cases = []
@@ -406,11 +407,11 @@ class CellRecord(Record):
     """Every determinant route for one instance, side by side.
 
     Values are live ring values (Fraction or MultiPoly).  ``literal`` holds
-    the audit cases, empty when ``literal_error`` says why they are
-    undefined; they never influence the two verdicts.
+    the audit cases, or is ``None`` exactly when the audit is undefined (a
+    vanishing group product); they never influence the two verdicts.
     """
 
-    __slots__ = ("rp", "k", "split", "direct", "expansion", "closed", "literal", "literal_error")
+    __slots__ = ("direct", "expansion", "closed", "literal")
 
     @property
     def expansion_matches(self) -> bool:
@@ -431,33 +432,29 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     audit for one instance.
 
     The closed form is computed on every split: it is the determinant of the
-    unsplit product, which the split does not change.  ``literal_error`` is
-    set only by ``LiteralCaseUndefined``; any other error propagates.
+    unsplit product, which the split does not change.  ``literal`` is
+    ``None`` when ``det_literal_cases`` is; any error in a route propagates.
 
     The cell is scaled once: one ``scaled_forms`` call gives the forms every
     route runs on and the factor that multiplies every value it returns,
     each expansion term and audit case included.  A term or a case has the
     total's degree dim(R_k) in every form, so this is exact, and each value
     equals what its public route returns on the forms as given.  The
-    expansion's total is the sum of its scaled terms, so a verdict on the
-    total reads the very terms a caller prints.  Scaling
+    expansion holds only its scaled terms and its value is their sum, so a
+    verdict on the total reads the very terms a caller prints.  Scaling
     keeps every zero coefficient, so the audit's precondition reads the same
     on the scaled split.
     """
     scaled, factor = scaled_forms(rp, k, sf.all_forms)
     evaluated = SplitForms.split(scaled, sf.u)
     direct = det_direct(rp, k, scaled) * factor
-    terms = tuple(ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
-                  for t in det_schur_expansion(rp, k, evaluated).terms)
-    expansion = Expansion(sum(t.value for t in terms), terms)
+    expansion = Expansion(tuple(ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
+                                for t in det_schur_expansion(rp, k, evaluated).terms))
     closed = det_closed_form(rp, k, scaled) * factor
-    try:
-        literal = tuple(LiteralCase(c.case_id, c.condition, c.value * factor, c.skipped_terms)
-                        for c in det_literal_cases(rp, k, evaluated))
-        literal_error = None
-    except LiteralCaseUndefined as exc:
-        literal, literal_error = (), str(exc)
-    return CellRecord(rp, k, sf, direct, expansion, closed, literal, literal_error)
+    cases = det_literal_cases(rp, k, evaluated)
+    literal = None if cases is None else tuple(
+        LiteralCase(c.case_id, c.condition, c.value * factor, c.skipped_terms) for c in cases)
+    return CellRecord(direct, expansion, closed, literal)
 
 
 def symbolic_forms(n: int) -> tuple[list[LinearForm], list[str]]:

@@ -438,7 +438,7 @@ def test_only_the_declared_audit_case_is_recorded_as_undefined(capsys, monkeypat
     # the audit's one declared precondition, a zero b in the check group
     zero_b = formulas.SplitForms(check=[LinearForm(1, 0)], hat=[LinearForm(1, 3)])
     record = formulas.discrepancy_report(rp, 1, zero_b)
-    assert record.literal == () and "undefined" in record.literal_error
+    assert record.literal is None
 
 
 def test_a_fault_in_a_subcommand_is_exit_2_not_a_mismatch(capsys, monkeypatch):
@@ -524,9 +524,9 @@ def test_the_report_a_mismatch_names_fails_on_its_own_routes_first(capsys,
 
 
 def test_a_fault_in_the_printed_terms_alone_is_a_verify_mismatch(capsys, monkeypatch):
-    # the expansion's first term is one more, but its total is not: the
-    # record's total is the sum of its terms, so verify sees the fault, and
-    # the report it names fails on its own routes, whose terms it prints
+    # the expansion's first term is one more: an expansion's value is the
+    # sum of its terms, so verify sees the fault, and the report it names
+    # fails on its own routes, whose terms it prints
     import lefdet.formulas as formulas
 
     exact = formulas.det_schur_expansion
@@ -535,7 +535,7 @@ def test_a_fault_in_the_printed_terms_alone_is_a_verify_mismatch(capsys, monkeyp
         expansion = exact(rp, k, sf)
         first, *rest = expansion.terms
         wrong = ExpansionTerm(first.delta, first.lam, first.nu, first.value + 1)
-        return Expansion(expansion.value, (wrong, *rest))
+        return Expansion((wrong, *rest))
 
     monkeypatch.setattr(formulas, "det_schur_expansion", first_term_off_by_one)
     report = assert_the_named_report_fails_on_its_own_routes(capsys)
@@ -740,7 +740,7 @@ def doubled_expansion(at_split):
         def expansion(rp, k, sf):
             value = exact(rp, k, sf)
             if at_split in (None, sf.u):
-                return formulas.Expansion(value.value * 2, value.terms)
+                return doubled_terms(value)
             return value
 
         monkeypatch.setattr(formulas, "det_schur_expansion", expansion)
@@ -787,9 +787,19 @@ def test_anchors_hold_is_degree_anchor_per_cell(capsys, monkeypatch, fault, hold
 
 
 def test_det_closed_anchor_runs_the_expansion_its_reproduce_command_runs(capsys, monkeypatch):
-    # a fault in the expansion at u = d+q-2k, where the hat group is empty:
-    # the command that the anchor line names exits 1 on it, so det must too
-    doubled_expansion(2)(monkeypatch)
+    # a fault in the expansion at u = d+q-2k, where the hat group is empty,
+    # on the anchor's copies of one form alone (a record's expansion that
+    # misses is a routes line): the command that the anchor line names exits
+    # 1 on it, so det must too
+    import lefdet.formulas as formulas
+
+    exact = formulas.det_schur_expansion
+
+    def at_the_anchor(rp, k, sf):
+        value = exact(rp, k, sf)
+        return doubled_terms(value) if sf.u == 2 and len(set(sf.all_forms)) == 1 else value
+
+    monkeypatch.setattr(formulas, "det_schur_expansion", at_the_anchor)
     code = main(DET_CLOSED_ARGV)
     captured = capsys.readouterr()
     assert code == 1 and json.loads(captured.out)["match_direct"] is True
@@ -835,28 +845,39 @@ def cli_fault(name, change):
 
 
 def doubled_terms(expansion):
-    return Expansion(expansion.value * 2, tuple(
+    return Expansion(tuple(
         ExpansionTerm(t.delta, t.lam, t.nu, t.value * 2) for t in expansion.terms))
 
 
+# the report of DET_CLOSED_ARGV's cell, split at u = d+q-2k, and of DET_EXPANSION_ARGV's
+DET_CLOSED_REPORT = ["report", "--d", "2", "--q", "2", "--k", "1", "--u", "2", "--forms=2,1;1,3"]
+DET_EXPANSION_REPORT = ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2",
+                        "--forms=2/3,1;1,3;-5/2,7"]
+
+
 # each fault is in the record's routes alone: the anchor's routes are untouched
-@pytest.mark.parametrize("argv, fault", [
-    (DET_CLOSED_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1))),
+@pytest.mark.parametrize("argv, fault, reproducer", [
+    (DET_CLOSED_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1)),
+     DET_CLOSED_REPORT),
     (DET_CLOSED_ARGV, cli_fault("discrepancy_report",
-                                lambda r: replaced(r, expansion=doubled_terms(r.expansion)))),
+                                lambda r: replaced(r, expansion=doubled_terms(r.expansion))),
+     DET_CLOSED_REPORT),
     (DET_EXPANSION_ARGV, cli_fault("discrepancy_report",
-                                   lambda r: replaced(r, expansion=doubled_terms(r.expansion)))),
-    (REPORT_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1))),
+                                   lambda r: replaced(r, expansion=doubled_terms(r.expansion))),
+     DET_EXPANSION_REPORT),
+    (REPORT_ARGV, cli_fault("discrepancy_report", lambda r: replaced(r, closed=r.closed + 1)),
+     None),
     (["schur", "--partition", "[2,1]", "--values", "1/2,-3,5"],
-     cli_fault("schur_tableaux", lambda value: value + 1)),
+     cli_fault("schur_tableaux", lambda value: value + 1), None),
     (["duality", "--r", "2", "--n", "2", "--partition", "[1]", "--x", "1,1", "--y", "1,2"],
      cli_fault("complement_identity_check", lambda r: ComplementIdentityResult(
-         mu=r.mu, lhs=r.lhs, rhs=r.rhs + 1, equal=False))),
+         mu=r.mu, lhs=r.lhs, rhs=r.rhs + 1, equal=False)), None),
 ], ids=["det-closed", "det-closed-expansion", "det-expansion", "report-routes", "schur",
         "duality"])
 def test_every_exit_1_writes_one_line_whose_command_exits_1_again(capsys, monkeypatch, argv,
-                                                                   fault):
-    # each compares its own routes, so the invocation itself is the reproducer
+                                                                   fault, reproducer):
+    # each compares its own routes: the invocation itself is the reproducer,
+    # except that det names the report of its cell, which prints every route
     assert main(argv) == 0
     agreeing = capsys.readouterr()
     assert agreeing.err == ""
@@ -866,11 +887,15 @@ def test_every_exit_1_writes_one_line_whose_command_exits_1_again(capsys, monkey
     lines = captured.err.splitlines(keepends=True)
     assert len(lines) == 1 and lines[0].endswith("\n") and "reproduce with: " in lines[0]
     command = shlex.split(lines[0].split("reproduce with: ", 1)[1])
-    assert command == ["lefdet", *argv]
+    assert command == ["lefdet", *(argv if reproducer is None else reproducer)]
     # stdout is the whole document, of the agreeing run's shape
     assert set(json.loads(captured.out)) == set(json.loads(agreeing.out))
     assert main(command[1:]) == 1
-    assert capsys.readouterr().err == captured.err
+    again = capsys.readouterr()
+    # the named report fails on the same line, and shows the route that missed
+    assert again.err == captured.err
+    if reproducer is not None:
+        assert False in json.loads(again.out)["matches"].values()
     # main writes the line after the document
     both = io.StringIO()
     monkeypatch.setattr(sys, "stdout", both)
@@ -1007,6 +1032,45 @@ GOLDEN = [
          "-5/7,-3/2;7/3,5/2"],
         0, "586c9049917459f16bbed05c6260644904638117a40ed9e60fa9d5171a62898e",
     ),
+    (
+        # an audit whose check group has a zero b: its literal_case_error bytes
+        ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "1", "--forms=2,0;1,3;-5/2,7"],
+        0, "2b2198f96c0c67454bd5460462eb2b4b62e3522b4c1cabbdf3b0afa1479c1bdb",
+    ),
+    (
+        # an audit whose hat group has a zero a, in the text format
+        ["report", "--d", "3", "--q", "2", "--k", "1", "--u", "2", "--forms=2,1;1,3;0,7",
+         "--output", "text"],
+        0, "78597907160e810b009e5d4c7ca44aecb3902a77a806c3b41acbaa44115e1c38",
+    ),
+    # the benchmark's own seed-1 jobs (perfbench/workloads.py), verify-lattice
+    # without --threads
+    (
+        ["verify", "--dmax", "7", "--trials", "5", "--seed", "1"],
+        0, "cba88423b6783c19acd945d2f2b5bbca44d83b6590561b036a53a16f276100f3",
+    ),
+    (
+        ["det", "--d", "24", "--q", "24", "--k", "12", "--u", "2", "--method", "expansion",
+         "--forms=3/5,-7/2;-3/2,-5/7;-5/3,2/7;-7/5,3/2;-3/5,-7/2;-7/2,-3/5;7/2,-3/5;5/3,7/2;"
+         "2/3,-5/7;-3/5,2/7;-7/3,2/5;-2/5,3/7;7/3,-2/5;-5/3,2/7;5/2,-3/7;-3/2,-7/5;-2/7,3/5;"
+         "3/7,2/5;3/5,7/2;7/2,-3/5;-7/2,-5/3;-2/5,3/7;-7/3,-2/5;3/7,2/5"],
+        0, "1dd8273f93c7d7da1a649a630db30292962047b7cc6a32c2240e3f8aba2e9d01",
+    ),
+    (
+        ["det", "--d", "26", "--q", "18", "--k", "9", "--u", "3", "--method", "expansion",
+         "--forms=-3/5,7/2;-7/2,5/3;7/3,-5/2;-5/2,-3/7;-5/3,-2/7;-5/7,3/2;-7/2,3/5;7/5,-3/2;"
+         "-5/2,-3/7;3/5,7/2;7/2,3/5;2/5,-3/7;5/7,-3/2;-3/7,5/2;-3/2,7/5;-3/5,-2/7;2/5,3/7;"
+         "3/5,-7/2;5/3,-2/7;-2/7,-3/5;-5/2,3/7;-7/2,3/5;-2/3,5/7;-7/5,-2/3;7/3,-2/5;-7/2,3/5"],
+        0, "8b965b201cafee3caceb19ee76b9ee3b5e77b7c3ab837c9b34a191a8a3a9eb9a",
+    ),
+    (
+        ["slp", "--d", "40", "--q", "30", "--forms=3/2,7/5"],
+        0, "b3e0ad8a7a1c80c29495f4ed607a83ceeee8eda221be9231febf191688bab34c",
+    ),
+    (
+        ["slp", "--d", "40", "--q", "30", "--forms=-7/2,-5/3"],
+        0, "bb2eb87350f30e35467812ca626c409942ed4ab1cd86052fd0308feb58e722dc",
+    ),
 ]
 
 
@@ -1015,7 +1079,9 @@ GOLDEN = [
     ids=["verify-seed-11", "verify-allow-zero", "sweep-csv", "report", "det-expansion",
          "slp-rational", "slp-zero-dets", "det-direct-mixed", "duality", "schur",
          "duality-complement", "det-closed-mixed", "report-case3-skips",
-         "report-cases-1-4", "det-expansion-deep"],
+         "report-cases-1-4", "det-expansion-deep", "report-audit-undefined",
+         "report-audit-undefined-text", "bench-verify-lattice", "bench-large-cells-24-24",
+         "bench-large-cells-26-18", "bench-slp-scan-1", "bench-slp-scan-2"],
 )
 def test_output_bytes_are_pinned(capsys, argv, code, digest):
     got_code, out = run(capsys, *argv)

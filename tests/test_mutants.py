@@ -64,13 +64,13 @@ def test_every_shared_fault_row_also_runs_report():
 
 
 def test_the_expansion_term_rows_need_only_verify():
-    # the record's total is the sum of the terms it prints, so a fault in
-    # the terms reaches verify's verdict
+    # an expansion's value is the sum of its terms, so a fault in the terms
+    # the record prints, or in that sum, reaches verify's verdict
     mutants = load_gate()
     rows = {row[:3]: row[4] for row in mutants.MUTANTS}
     assert rows.get(("lefdet/formulas.py", "t.value * factor", "t.value // factor")) == mutants.OWN
-    assert rows.get(("lefdet/formulas.py", "sum(t.value for t in terms)",
-                     "sum(t.value for t in terms[1:])")) == mutants.OWN
+    assert rows.get(("lefdet/formulas.py", "sum(t.value for t in self.terms)",
+                     "sum(t.value for t in self.terms[1:])")) == mutants.OWN
 
 
 def test_the_e_table_top_entry_has_its_own_row():

@@ -63,9 +63,9 @@ RECORDS = {
         "ExpansionTerm(delta=(0, 2), lam=Partition([1]), nu=Partition([]), value=Fraction(-6, 1))",
     ),
     Expansion: (
-        ("value", "terms"),
-        dict(value=Fraction(-6), terms=(TERM,)),
-        "Expansion(value=Fraction(-6, 1), terms=(ExpansionTerm(delta=(0, 2), "
+        ("terms",),
+        dict(terms=(TERM,)),
+        "Expansion(terms=(ExpansionTerm(delta=(0, 2), "
         "lam=Partition([1]), nu=Partition([]), value=Fraction(-6, 1)),))",
     ),
     SlpEntry: (
@@ -89,21 +89,16 @@ RECORDS = {
         "ComplementIdentityResult(mu=Partition([]), lhs=Fraction(2, 1), rhs=2, equal=True)",
     ),
     CellRecord: (
-        ("rp", "k", "split", "direct", "expansion", "closed", "literal", "literal_error"),
+        ("direct", "expansion", "closed", "literal"),
         dict(
-            rp=RingParams(2, 2),
-            k=1,
-            split=SPLIT,
-            direct=Fraction(31),
-            expansion=Expansion(value=Fraction(31), terms=()),
-            closed=Fraction(31),
-            literal=(),
-            literal_error="undefined",
+            direct=Fraction(-6),
+            expansion=Expansion(terms=(TERM,)),
+            closed=Fraction(-6),
+            literal=None,
         ),
-        "CellRecord(rp=RingParams(d=2, q=2), k=1, split=SplitForms(check=(LinearForm(a=1, b=2),), "
-        "hat=(LinearForm(a=3, b=-1),)), direct=Fraction(31, 1), expansion=Expansion("
-        "value=Fraction(31, 1), terms=()), closed=Fraction(31, 1), literal=(), "
-        "literal_error='undefined')",
+        "CellRecord(direct=Fraction(-6, 1), expansion=Expansion(terms=(ExpansionTerm("
+        "delta=(0, 2), lam=Partition([1]), nu=Partition([]), value=Fraction(-6, 1)),)), "
+        "closed=Fraction(-6, 1), literal=None)",
     ),
 }
 
@@ -143,12 +138,12 @@ OTHERS = {
     CauchyBinetResult: CauchyBinetResult(lhs=1, rhs=1, equal=False),
     SplitForms: SplitForms(check=(), hat=(FORM,)),
     ExpansionTerm: ExpansionTerm((0, 2), Partition((1,)), Partition(), Fraction(6)),
-    Expansion: Expansion(value=Fraction(-6), terms=()),
+    Expansion: Expansion(terms=()),
     SlpEntry: SlpEntry(k=1, det=1, nonzero=True),
     SlpReport: SlpReport(entries=(ENTRY,), holds=False),
     LiteralCase: LiteralCase(3, "0 <= k", Fraction(1), 0),
     ComplementIdentityResult: ComplementIdentityResult(Partition(), 3, 2, True),
-    CellRecord: CellRecord(*(RECORDS[CellRecord][1] | {"literal_error": None}).values()),
+    CellRecord: CellRecord(*(RECORDS[CellRecord][1] | {"literal": ()}).values()),
 }
 
 
@@ -196,10 +191,25 @@ def test_pickle_and_copy_round_trip(cls):
         assert field_tuple(again, fields) == field_tuple(value, fields)
 
 
+@CASES
+def test_the_fields_are_the_slots(cls):
+    assert cls.__slots__ == RECORDS[cls][0]
+
+
+def test_an_expansion_holds_only_its_terms_and_its_value_is_their_sum():
+    assert Expansion(terms=(TERM, TERM)).value == Fraction(-12)
+    assert Expansion(terms=()).value == 0
+    with pytest.raises(AttributeError):
+        Expansion(terms=()).value = 1
+
+
 def test_a_computed_cell_record_round_trips():
-    record = discrepancy_report(RingParams(2, 2), 1, SPLIT)
-    assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
-    assert hash(record) == hash(copy.deepcopy(record))
+    undefined = SplitForms.split([LinearForm(1, 0), LinearForm(3, -1)], 1)
+    for split in (SPLIT, undefined):
+        record = discrepancy_report(RingParams(2, 2), 1, split)
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        assert hash(record) == hash(copy.deepcopy(record))
+    assert record.literal is None
 
 
 def test_the_hot_types_carry_no_instance_dict():

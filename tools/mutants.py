@@ -25,7 +25,7 @@ a second on a 2-vCPU host.
 
     python3 tools/mutants.py --scan
 
-prints the full operator-swap table instead, and is not a CI step (457
+prints the full operator-swap table instead, and is not a CI step (455
 mutants, about 45 s on a 2-vCPU host).  Over ``SCAN_FILES`` it swaps each
 binary ``+``/``-`` and ``*``/``//`` (augmented assignments too), flips each
 comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) and raises each
@@ -207,9 +207,9 @@ MUTANTS = [
     ),
     (
         "lefdet/formulas.py",
-        "sum(t.value for t in terms)",
-        "sum(t.value for t in terms[1:])",
-        "the record's total drops its first term",
+        "sum(t.value for t in self.terms)",
+        "sum(t.value for t in self.terms[1:])",
+        "an expansion's value, the sum of its terms, drops its first term",
         OWN,
     ),
     # zero-kernel rows: each makes every determinant of size 2 or more 0, so
