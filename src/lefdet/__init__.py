@@ -3,6 +3,8 @@ K[x,y] modulo x^(d+1) and y^(q+1), their Schur-polynomial closed forms, and
 cross-verification machinery (brute force over rationals, polynomial
 identities over symbolic coefficients)."""
 
+from types import ModuleType as _ModuleType
+
 from .formulas import (
     CellRecord,
     ComplementIdentityResult,
@@ -58,52 +60,9 @@ from .symfunc import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CauchyBinetResult",
-    "CellRecord",
-    "ComplementIdentityResult",
-    "ExactMatrix",
-    "Expansion",
-    "ExpansionTerm",
-    "HomogPair",
-    "LinearForm",
-    "LiteralCase",
-    "MultiPoly",
-    "Partition",
-    "RingParams",
-    "SlpEntry",
-    "SlpReport",
-    "SplitForms",
-    "basis",
-    "cauchy_binet_check",
-    "complement_identity_check",
-    "degree_anchor",
-    "det",
-    "det_bareiss",
-    "det_closed_form",
-    "det_direct",
-    "det_laplace",
-    "det_literal_cases",
-    "det_mod",
-    "det_power",
-    "det_schur_expansion",
-    "dim",
-    "discrepancy_report",
-    "duality_check",
-    "elementary",
-    "elementary_homog",
-    "enumerate_in_rectangle",
-    "minor_det",
-    "mult_matrix",
-    "mult_matrix_block",
-    "product_coefficients",
-    "rectangle",
-    "render",
-    "schur",
-    "schur_bialternant",
-    "schur_homog",
-    "schur_jacobi_trudi",
-    "schur_tableaux",
-    "slp_check",
-    "symbolic_forms",
-]
+# every public name imported above, sorted: not the submodules, which importing
+# binds here too, nor this module's own helper (hence ``_ModuleType``)
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

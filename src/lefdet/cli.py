@@ -43,10 +43,11 @@ through ``failed_anchor``, which runs ``formulas.degree_anchor`` once per
 ring degree (d, q, k): at d+q-2k copies of ``ANCHOR_FORM`` = 4/3 x - 10/7 y,
 the direct route, the expansion at u and the closed form must each equal
 ``det_power``, the hook-content product, which takes no determinant, builds
-no E-table and never calls ``scaled_forms``.  Every route of a record reduces through the
-same ``linalg.det`` and the same scaled cell, so a determinant kernel that
-returns 0, or a scaling fault, makes all of them agree on every trial; the
-anchor still sees it.  The form's scale factor (2/21)^((d+q-2k)*dim(R_k))
+no E-table and never calls ``scaled_forms``.  Every route of a record reduces
+through the same ``linalg.det`` and the same scaled cell, so a determinant
+kernel that returns 0, or a scaling fault, makes all of them agree on every
+trial; the anchor still sees it, since the record and the anchor scale
+through one cell evaluator.  The form's scale factor (2/21)^((d+q-2k)*dim(R_k))
 has a denominator half and a gcd half that are both not 1.  ``det`` anchors
 its own split, which for ``--method closed`` is u = d+q-2k, where the
 expansion has one term.  ``report`` and ``det --method expansion|closed``
@@ -300,11 +301,13 @@ def failed_anchor(cells) -> Failure | None:
 
     ``degree_anchor`` runs once for each run of consecutive cells that share
     (d, q, k); the lattice's sort makes each degree one run.  The failure
-    names the ``verify`` argv that runs that cell's anchor again.
+    names the ``verify`` argv that runs that cell's anchor again.  A verdict
+    list of the wrong length raises ``ValueError``, which ``main`` reports as
+    an error document with exit 2: no cell passes without a verdict.
     """
     for (d, q, k), degree in groupby(cells, key=lambda cell: cell[:3]):
         splits = [u for *_, u in degree]
-        for u, holds in zip(splits, degree_anchor(RingParams(d, q), k, splits)):
+        for u, holds in zip(splits, degree_anchor(RingParams(d, q), k, splits), strict=True):
             if not holds:
                 return (f"anchor failed at {cell_name(d, q, k, u)}: the routes at "
                         f"{d + q - 2 * k} copies of the form {','.join(form_doc(ANCHOR_FORM))} "
@@ -612,16 +615,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--forms", default="", help="semicolon-separated pairs, e.g. 2,1;1,3")
 
     p = sub.add_parser("det", help="one determinant by the chosen method")
+    p.set_defaults(run=cmd_det)
     add_cell(p)
     p.add_argument("--method", choices=["direct", "expansion", "closed"], default="direct")
     add_output(p)
 
-    for name, help_text, outputs in (
-        ("verify", "seeded cross-check sweep; exit 1 on any direct mismatch or failed anchor",
+    for name, run, help_text, outputs in (
+        ("verify", cmd_verify,
+         "seeded cross-check sweep; exit 1 on any direct mismatch or failed anchor",
          ("json", "text")),
-        ("sweep", "same lattice as a flat per-trial table", ("json", "csv", "text")),
+        ("sweep", cmd_sweep, "same lattice as a flat per-trial table", ("json", "csv", "text")),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         cells = p.add_mutually_exclusive_group()
         cells.add_argument("--dmax", type=parse_int, default=None,
                            help="largest d+q in the lattice (default 6)")
@@ -639,17 +645,20 @@ def build_parser() -> argparse.ArgumentParser:
         add_output(p, outputs)
 
     p = sub.add_parser("slp", help="strong Lefschetz scan for one form")
+    p.set_defaults(run=cmd_slp)
     p.add_argument("--d", type=parse_int, required=True)
     p.add_argument("--q", type=parse_int, required=True)
     p.add_argument("--forms", required=True, help="exactly one pair a,b")
     add_output(p)
 
     p = sub.add_parser("schur", help="the three Schur evaluators side by side")
+    p.set_defaults(run=cmd_schur)
     p.add_argument("--partition", required=True, help="e.g. [2,1]")
     p.add_argument("--values", default="", help="comma-separated rationals")
     add_output(p)
 
     p = sub.add_parser("duality", help="rectangular Schur identities")
+    p.set_defaults(run=cmd_duality)
     p.add_argument("--r", type=parse_int, required=True)
     p.add_argument("--m", type=parse_int, default=None,
                    help="rectangle duality: 2m values per side")
@@ -662,27 +671,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
 
     p = sub.add_parser("report", help="side-by-side record for one instance")
+    p.set_defaults(run=cmd_report)
     add_cell(p)
     add_output(p)
 
     return parser
 
 
-COMMANDS = {
-    "det": cmd_det,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
-    "slp": cmd_slp,
-    "schur": cmd_schur,
-    "duality": cmd_duality,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        body, failure = COMMANDS[args.command](args)
+        body, failure = args.run(args)
         emit({"schema": SCHEMA, "command": args.command, **body}, args.output)
     except Exception as exc:
         # exit 1 is kept for a verified mismatch: any other fault is an error document

@@ -21,16 +21,18 @@ not depend on how the forms are split, so the closed form applies at every u.
 Every route here, like ``ring.det_direct``, applies ``check_cell`` and
 evaluates the forms it is given, so each returns what ``linalg.det`` would:
 an ``int`` on ``int`` forms, a ``Fraction`` once a coefficient is one, a
-``MultiPoly`` on symbolic forms.  Only ``discrepancy_report`` and
-``degree_anchor`` scale: each calls ``ring.scaled_forms`` once, runs the
-routes on its primitive integer forms and multiplies every value (each
-expansion term and audit case included) by its one factor; its docstring
-says why one factor serves every route, terms and cases too, since each is
-homogeneous of degree dim R_k in every form.  So a record runs every route
-in ``int``.  ``scaled_forms`` returns ``MultiPoly`` forms unchanged with the
-factor 1, so the symbolic identity still checks each term's Schur values.
+``MultiPoly`` on symbolic forms.  One private evaluator, ``_evaluate``,
+scales: it calls ``ring.scaled_forms`` once per cell, runs the verdict
+routes on the primitive integer forms and multiplies every value, each
+expansion term included, by the one factor.  ``discrepancy_report`` and
+``degree_anchor`` both evaluate through it, and the record multiplies its
+audit cases by the same factor; ``scaled_forms``' docstring says why one
+factor serves every route, terms and cases too, since each is homogeneous
+of degree dim R_k in every form.  So a record runs every route in ``int``.
+``scaled_forms`` returns ``MultiPoly`` forms unchanged with the factor 1,
+so the symbolic identity still checks each term's Schur values.
 
-Every verdict route of a record shares the record's scaling and
+Every verdict route of a record shares the evaluator's scaling and
 ``linalg.det``, so a fault in either can make them all agree.  ``det_power``
 shares neither: ``degree_anchor`` checks the direct route, the expansion and
 the closed form at n copies of ``ANCHOR_FORM``, a form with non-integer
@@ -248,28 +250,22 @@ def degree_anchor(rp: RingParams, k: int, splits) -> list[bool]:
     """Whether every verdict route gives ``det_power`` at n copies of ``ANCHOR_FORM``,
     one verdict per split point u in ``splits``, in order.
 
-    n = d+q-2k.  One ``scaled_forms`` call scales the copies; the direct
-    route, the closed form and the expansion at u, each on the scaled copies
-    (split at u for the expansion) and times the factor, must each equal
-    ``det_power`` on the unscaled form, which takes no determinant,
-    builds no E-table and never calls ``scaled_forms``.  So a fault that
-    every route shares, such as a determinant kernel that returns 0 or a
-    wrong scale factor, fails the anchor even where the routes still agree
-    with each other.  Only the expansion depends on the split: the direct
-    route and the closed form run once, and if either misses, every split
-    reads False.  The literal audit gives no verdict and is not evaluated.
+    n = d+q-2k.  The copies go through ``_evaluate``, the cell evaluator that
+    every record is built by, so the anchor judges the very scaling and the
+    very scaled terms that a record prints: the direct route, the closed form
+    and the expansion at u must each equal ``det_power`` on the unscaled
+    form, which takes no determinant, builds no E-table and never calls
+    ``scaled_forms``.  So a fault that every route shares, such as a
+    determinant kernel that returns 0 or a wrong scale factor, fails the
+    anchor even where the routes still agree with each other.  Only the
+    expansion depends on the split: the direct route and the closed form run
+    once, and if either misses, every split reads False.  The literal audit
+    gives no verdict and is not evaluated.
     """
     expected = det_power(rp, k, ANCHOR_FORM)
-    scaled, factor = scaled_forms(rp, k, (ANCHOR_FORM,) * (rp.socle - 2 * k))
-    unsplit = (
-        det_direct(rp, k, scaled) * factor == expected
-        and det_closed_form(rp, k, scaled) * factor == expected
-    )
-    return [
-        unsplit
-        and det_schur_expansion(rp, k, SplitForms.split(scaled, u)).value * factor == expected
-        for u in splits
-    ]
+    _, direct, closed, expansions = _evaluate(rp, k, (ANCHOR_FORM,) * (rp.socle - 2 * k), splits)
+    unsplit = direct == expected and closed == expected
+    return [unsplit and expansion.value == expected for _, expansion in expansions]
 
 
 class SlpEntry(Record):
@@ -427,6 +423,30 @@ class CellRecord(Record):
         return self.expansion_matches and self.closed_matches
 
 
+def _evaluate(rp: RingParams, k: int, forms, splits) -> tuple:
+    """The verdict routes of one cell, scaled once: the one evaluator of
+    ``discrepancy_report`` and ``degree_anchor``.
+
+    One ``scaled_forms`` call gives the forms every route runs on and the
+    factor that multiplies every value it returns.  Returns the factor, the
+    direct route and the closed form, each times the factor, and for each
+    split point u in ``splits``, in order, the pair (the scaled forms split
+    at u, their expansion with every term times the factor).  A term has the
+    total's degree dim(R_k) in every form, so this is exact, and each value
+    equals what its public route returns on the forms as given.
+    """
+    scaled, factor = scaled_forms(rp, k, forms)
+    direct = det_direct(rp, k, scaled) * factor
+    closed = det_closed_form(rp, k, scaled) * factor
+    expansions = []
+    for u in splits:
+        sf = SplitForms.split(scaled, u)
+        expansions.append((sf, Expansion(tuple(
+            ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
+            for t in det_schur_expansion(rp, k, sf).terms))))
+    return factor, direct, closed, expansions
+
+
 def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     """Compute the direct, expansion and closed-form routes and the literal
     audit for one instance.
@@ -435,22 +455,15 @@ def discrepancy_report(rp: RingParams, k: int, sf: SplitForms) -> CellRecord:
     unsplit product, which the split does not change.  ``literal`` is
     ``None`` when ``det_literal_cases`` is; any error in a route propagates.
 
-    The cell is scaled once: one ``scaled_forms`` call gives the forms every
-    route runs on and the factor that multiplies every value it returns,
-    each expansion term and audit case included.  A term or a case has the
-    total's degree dim(R_k) in every form, so this is exact, and each value
-    equals what its public route returns on the forms as given.  The
-    expansion holds only its scaled terms and its value is their sum, so a
-    verdict on the total reads the very terms a caller prints.  Scaling
-    keeps every zero coefficient, so the audit's precondition reads the same
-    on the scaled split.
+    The verdict routes come from ``_evaluate``, the evaluator that
+    ``degree_anchor`` checks, and the audit runs on the scaled split it
+    gives back, each case times the same factor: a case, like a term, has
+    the total's degree dim(R_k) in every form.  The expansion holds only its
+    scaled terms and its value is their sum, so a verdict on the total reads
+    the very terms a caller prints.  Scaling keeps every zero coefficient,
+    so the audit's precondition reads the same on the scaled split.
     """
-    scaled, factor = scaled_forms(rp, k, sf.all_forms)
-    evaluated = SplitForms.split(scaled, sf.u)
-    direct = det_direct(rp, k, scaled) * factor
-    expansion = Expansion(tuple(ExpansionTerm(t.delta, t.lam, t.nu, t.value * factor)
-                                for t in det_schur_expansion(rp, k, evaluated).terms))
-    closed = det_closed_form(rp, k, scaled) * factor
+    factor, direct, closed, [(evaluated, expansion)] = _evaluate(rp, k, sf.all_forms, [sf.u])
     cases = det_literal_cases(rp, k, evaluated)
     literal = None if cases is None else tuple(
         LiteralCase(c.case_id, c.condition, c.value * factor, c.skipped_terms) for c in cases)

@@ -17,9 +17,10 @@ ordered product of the single-form matrices.
 docstring states the degree fact behind that factor).  Every determinant
 route, ``det_direct`` here and the expansion, the closed form, the audit and
 ``det_power`` in ``formulas``, applies the cell rule of ``check_cell`` and
-evaluates the forms it is given.  Only ``formulas.discrepancy_report`` and
-``formulas.degree_anchor`` scale: each calls ``scaled_forms`` once, runs the
-routes on its integer forms and multiplies their values by the factor.
+evaluates the forms it is given.  Only the cell evaluator in ``formulas``
+scales, for the record and the anchor alike: it calls ``scaled_forms`` once
+per cell, runs the routes on the integer forms and multiplies their values
+by the factor.
 """
 
 from __future__ import annotations

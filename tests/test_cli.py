@@ -595,7 +595,8 @@ def zero_kernel(monkeypatch):
 @pytest.fixture
 def inverted_scaling(monkeypatch):
     """Make ``scaled_forms`` multiply by the scaling instead of undoing it,
-    for the record and the anchor, its only callers (both in ``formulas``)."""
+    for the cell evaluator in ``formulas``, its one caller, which builds
+    both the record and the anchor."""
     import lefdet.formulas as formulas
     from lefdet.ring import scaled_forms
 
@@ -784,6 +785,31 @@ def test_anchors_hold_is_degree_anchor_per_cell(capsys, monkeypatch, fault, hold
         assert command == ("verify", "--d", d, "--q", q, "--k", k, "--u", u, "--trials", "1")
     else:
         assert failure is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dmax", "3", "--trials", "1"],
+    REPORT_ARGV,
+    DET_CLOSED_ARGV,
+], ids=["verify", "report", "det-closed"])
+@pytest.mark.parametrize("verdicts", [
+    lambda exact: [],
+    lambda exact: exact[:-1],
+], ids=["none", "one-short"])
+def test_an_anchor_that_returns_too_few_verdicts_is_an_error_not_a_pass(
+    capsys, monkeypatch, argv, verdicts
+):
+    # a missing verdict judges no cell: exit 2 with an error document, and
+    # exit 1 stays a verified mismatch
+    import lefdet.cli as cli
+
+    exact = cli.degree_anchor
+    monkeypatch.setattr(cli, "degree_anchor", lambda rp, k, splits: verdicts(exact(rp, k, splits)))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "shorter" in json.loads(captured.out)["error"]
+    assert captured.err == ""
 
 
 def test_det_closed_anchor_runs_the_expansion_its_reproduce_command_runs(capsys, monkeypatch):

@@ -677,6 +677,28 @@ def test_one_report_scales_its_cell_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_record_and_the_anchor_scale_through_one_evaluator(monkeypatch):
+    # one call site of scaled_forms, in the evaluator that both build on, so
+    # a fault in the record's scaling is one in the anchor's too
+    import ast
+    import inspect
+
+    import lefdet.formulas as formulas
+
+    tree = ast.parse(inspect.getsource(formulas))
+    sites = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "scaled_forms"]
+    assert sites == ["_evaluate"]
+    splits = []
+    exact = formulas._evaluate
+    monkeypatch.setattr(formulas, "_evaluate", lambda *a: splits.append(list(a[3])) or exact(*a))
+    rp = RingParams(3, 2)
+    assert discrepancy_report(rp, 1, SplitForms.split([F(1, 2), F(-3, 4), F(5, 1)], 1)).agrees
+    assert degree_anchor(rp, 1, range(0, 4, 2)) == [True, True]
+    assert splits == [[1], [0, 2]]
+
+
 def test_degree_anchor_is_true_at_every_split_of_every_cell_and_builds_no_audit(monkeypatch):
     import lefdet.formulas as formulas
 
@@ -747,7 +769,8 @@ def test_report_routes_equal_the_public_routes_on_every_lattice_cell():
 
 
 def test_every_public_route_evaluates_rational_forms_without_scaling(monkeypatch):
-    # only the record and the anchor scale; each route takes the forms as given
+    # only the cell evaluator of the record and the anchor scales; each route
+    # takes the forms as given
     import lefdet.formulas as formulas
     import lefdet.ring as ring
 

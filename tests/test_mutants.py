@@ -43,6 +43,7 @@ def test_every_shared_fault_row_also_runs_report():
         "Bareiss runs past the last column, which finds no pivot: 0",
         "Bareiss returns an entry its elimination has zeroed",
         "ExactMatrix.row starts each row at entry r // cols",
+        "the cell evaluator doubles its scale factor: every route of a record doubles alike",
     }
     assert all(
         commands in (mutants.OWN, mutants.SHARED, mutants.FRACTION)

@@ -7,13 +7,14 @@ the unmutated copy, where each must exit 0.  Then, once per row of
 ``MUTANTS`` with that row's edit applied, it runs the row's commands, each of
 which must exit 1 and name the reproduce command on stderr.  Most rows run
 ``VERIFY`` alone (``OWN``).  A row marked ``SHARED`` breaks what every route
-of a record shares (the determinant kernel or the scale factor), so only an
+of a record shares (the determinant kernel, or the scale factor of the cell
+evaluator that builds both the record and the anchor), so only an
 anchor can see it; the gate also runs ``REPORT``, ``DET_CLOSED`` and
 ``DET_EXPANSION`` on it, each of which runs its one cell's full anchor, as
 ``VERIFY`` does for each of its cells.  The row marked ``FRACTION`` breaks
 only Bareiss on ``Fraction`` entries, which the record and the anchor never
 build, since they run in ``int``; it runs ``SCHUR``, whose evaluators reduce
-the rational values as given.  That makes 25 rows: 16 ``OWN``, 8 ``SHARED``
+the rational values as given.  That makes 26 rows: 16 ``OWN``, 9 ``SHARED``
 (run on four commands each) and 1 ``FRACTION``.  A row's ``old``
 text must occur exactly once in its file, so a row that no longer matches
 the source fails loudly instead of testing nothing.  Children run with
@@ -25,7 +26,7 @@ a second on a 2-vCPU host.
 
     python3 tools/mutants.py --scan
 
-prints the full operator-swap table instead, and is not a CI step (455
+prints the full operator-swap table instead, and is not a CI step (452
 mutants, about 45 s on a 2-vCPU host).  Over ``SCAN_FILES`` it swaps each
 binary ``+``/``-`` and ``*``/``//`` (augmented assignments too), flips each
 comparison (``<``/``<=``, ``>``/``>=``, ``==``/``!=``) and raises each
@@ -125,14 +126,14 @@ MUTANTS = [
         "lefdet/formulas.py",
         "closed = det_closed_form(rp, k, scaled) * factor",
         "closed = det_closed_form(rp, k, scaled) * factor * factor",
-        "the record applies the scale factor to its closed form twice",
+        "the cell evaluator applies the scale factor to its closed form twice",
         OWN,
     ),
     (
         "lefdet/formulas.py",
         "direct = det_direct(rp, k, scaled) * factor",
         "direct = det_direct(rp, k, scaled) * factor * factor",
-        "the record applies the scale factor to its direct route twice",
+        "the cell evaluator applies the scale factor to its direct route twice",
         OWN,
     ),
     (
@@ -195,8 +196,16 @@ MUTANTS = [
         "lefdet/formulas.py",
         "t.value * factor",
         "t.value // factor",
-        "the record's expansion terms floor-divide by the scale factor, and so does its total",
+        "the cell evaluator's expansion terms floor-divide by the scale factor, and so does "
+        "its total",
         OWN,
+    ),
+    (
+        "lefdet/formulas.py",
+        "scaled, factor = scaled_forms(rp, k, forms)",
+        "scaled, factor = scaled_forms(rp, k, forms); factor = 2 * factor",
+        "the cell evaluator doubles its scale factor: every route of a record doubles alike",
+        SHARED,
     ),
     (
         "lefdet/linalg.py",
